@@ -617,9 +617,8 @@ let experiment_faults conf =
   let prepared = Core.prepare data in
   let splits = Core.split ~seed:7 prepared in
   let validation = splits.Evaluation.Split.validation in
-  let ambient = Simulator.Faultinject.current () in
   let run label faults =
-    Simulator.Faultinject.set faults;
+    Knobs.with_faults faults @@ fun () ->
     let result =
       time label (fun () ->
           Core.build
@@ -636,16 +635,15 @@ let experiment_faults conf =
     (result, prediction)
   in
   let inject rate scope =
-    Some { Simulator.Faultinject.rate; seed = 42; scope }
+    Some { Simulator.Runtime.Fault.rate; seed = 42; scope }
   in
   let clean_r, clean_p = run "FAULT off" None in
   let trans_r, trans_p =
-    run "FAULT transient 0.05:42" (inject 0.05 Simulator.Faultinject.Transient)
+    run "FAULT transient 0.05:42" (inject 0.05 Simulator.Runtime.Fault.Transient)
   in
   let full_r, full_p =
-    run "FAULT full 0.05:42:full" (inject 0.05 Simulator.Faultinject.Full)
+    run "FAULT full 0.05:42:full" (inject 0.05 Simulator.Runtime.Fault.Full)
   in
-  Simulator.Faultinject.set ambient;
   let row label (r : Refine.Refiner.result) (p : Evaluation.Predict.report) =
     let pool = Simulator.Pool.merge r.Refine.Refiner.pool p.Evaluation.Predict.pool in
     [
@@ -690,9 +688,11 @@ type warm_report = {
   warm_wall : float;
   warm_events : int;
   warm_alloc : float;
-  warm_stats : Simulator.Warm.stats;
+  warm_runs : int;
+  cold_runs : int;
   identical : bool;
-  verify_stats : Simulator.Warm.stats;
+  verified : int;
+  divergences : int;
   pool : Simulator.Pool.stats;
 }
 
@@ -707,39 +707,41 @@ let experiment_warm prepared =
   section "WARM" "warm-start re-simulation vs cold (RD_WARM)";
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
-  let run label mode jobs =
-    let prior = Simulator.Warm.current () in
-    Simulator.Warm.set mode;
-    Simulator.Warm.reset_stats ();
-    Fun.protect
-      ~finally:(fun () -> Simulator.Warm.set prior)
-      (fun () ->
-        let a0 = Gc.allocated_bytes () in
-        let t0 = Unix.gettimeofday () in
-        let result =
-          time label (fun () ->
-              Core.build
-                ~options:
-                  {
-                    Refine.Refiner.default_options with
-                    max_iterations = Some 14;
-                    jobs;
-                  }
-                prepared ~training)
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        let alloc = Gc.allocated_bytes () -. a0 in
-        (result, wall, alloc, Simulator.Warm.stats ()))
+  let run label warm jobs =
+    Knobs.with_warm warm @@ fun () ->
+    let a0 = Gc.allocated_bytes () in
+    let t0 = Unix.gettimeofday () in
+    let result =
+      time label (fun () ->
+          Core.build
+            ~options:
+              {
+                Refine.Refiner.default_options with
+                max_iterations = Some 14;
+                jobs;
+              }
+            prepared ~training)
+    in
+    (result, Unix.gettimeofday () -. t0, Gc.allocated_bytes () -. a0)
   in
-  let cold_r, cold_wall, cold_alloc, _ =
-    run "WARM cold jobs=1" Simulator.Warm.Off (Some 1)
+  let cold_r, cold_wall, cold_alloc =
+    run "WARM cold jobs=1" Simulator.Runtime.Warm_mode.Off (Some 1)
   in
-  let warm_r, warm_wall, warm_alloc, warm_stats =
-    run "WARM warm jobs=1" Simulator.Warm.On (Some 1)
+  let warm_r, warm_wall, warm_alloc =
+    run "WARM warm jobs=1" Simulator.Runtime.Warm_mode.On (Some 1)
   in
-  let verify_r, _, _, verify_stats =
-    run "WARM verify" Simulator.Warm.Verify None
+  let verified0 = Obs.Metrics.find_counter "warm.verified" in
+  let divergences0 = Obs.Metrics.find_counter "warm.divergences" in
+  let verify_r, _, _ =
+    run "WARM verify" Simulator.Runtime.Warm_mode.Verify None
   in
+  let verified = Obs.Metrics.find_counter "warm.verified" - verified0 in
+  let divergences =
+    Obs.Metrics.find_counter "warm.divergences" - divergences0
+  in
+  let warm_pool = warm_r.Refine.Refiner.pool in
+  let warm_runs = warm_pool.Simulator.Pool.resumed in
+  let cold_runs = warm_pool.Simulator.Pool.prefixes - warm_runs in
   let identical =
     cold_r.Refine.Refiner.matched = warm_r.Refine.Refiner.matched
     && cold_r.Refine.Refiner.iterations = warm_r.Refine.Refiner.iterations
@@ -769,9 +771,7 @@ let experiment_warm prepared =
      identical across modes: %b@.verify: %d pairs compared, %d divergences \
      (want 0)@."
     (ratio warm_events cold_events)
-    warm_stats.Simulator.Warm.warm_runs warm_stats.Simulator.Warm.cold_runs
-    identical verify_stats.Simulator.Warm.verified
-    verify_stats.Simulator.Warm.divergences;
+    warm_runs cold_runs identical verified divergences;
   {
     cold_wall;
     cold_events;
@@ -779,9 +779,11 @@ let experiment_warm prepared =
     warm_wall;
     warm_events;
     warm_alloc;
-    warm_stats;
+    warm_runs;
+    cold_runs;
     identical;
-    verify_stats;
+    verified;
+    divergences;
     pool =
       Simulator.Pool.merge cold_r.Refine.Refiner.pool
         warm_r.Refine.Refiner.pool;
@@ -810,35 +812,32 @@ let experiment_check prepared (warm : warm_report) =
   section "CHECK" "mutation-discipline checker overhead (RD_CHECK)";
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
-  let run label mode =
-    let prior_check = Analysis.Ownership.current () in
-    let prior_warm = Simulator.Warm.current () in
-    Analysis.Ownership.set mode;
-    Simulator.Warm.set Simulator.Warm.On;
-    Fun.protect
-      ~finally:(fun () ->
-        Analysis.Ownership.set prior_check;
-        Simulator.Warm.set prior_warm)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let result =
-          time label (fun () ->
-              Core.build
-                ~options:
-                  {
-                    Refine.Refiner.default_options with
-                    max_iterations = Some 14;
-                    jobs = Some 1;
-                  }
-                prepared ~training)
-        in
-        (result, Unix.gettimeofday () -. t0))
+  let run label check =
+    Knobs.with_runtime
+      (fun rt ->
+        { rt with
+          Simulator.Runtime.check;
+          warm = Simulator.Runtime.Warm_mode.On })
+    @@ fun () ->
+    let t0 = Unix.gettimeofday () in
+    let result =
+      time label (fun () ->
+          Core.build
+            ~options:
+              {
+                Refine.Refiner.default_options with
+                max_iterations = Some 14;
+                jobs = Some 1;
+              }
+            prepared ~training)
+    in
+    (result, Unix.gettimeofday () -. t0)
   in
-  let _, off1 = run "CHECK off jobs=1 (1/2)" Analysis.Ownership.Off in
-  let _, off2 = run "CHECK off jobs=1 (2/2)" Analysis.Ownership.Off in
+  let _, off1 = run "CHECK off jobs=1 (1/2)" Simulator.Runtime.Check_mode.Off in
+  let _, off2 = run "CHECK off jobs=1 (2/2)" Simulator.Runtime.Check_mode.Off in
   let off_wall = Float.min off1 off2 in
   Analysis.Ownership.reset ();
-  let on_r, on_wall = run "CHECK on jobs=1" Analysis.Ownership.On in
+  let on_r, on_wall = run "CHECK on jobs=1" Simulator.Runtime.Check_mode.On in
   let check_violations = Analysis.Ownership.violation_count () in
   let lint_errors =
     Analysis.Report.error_count (Analysis.Lint.check on_r.Refine.Refiner.model)
@@ -848,7 +847,7 @@ let experiment_check prepared (warm : warm_report) =
      records the honest price of RD_CHECK=race on the same workload and
      gates on it finding nothing in a clean run. *)
   Analysis.Race.reset ();
-  let _, race_wall = run "CHECK race jobs=1" Analysis.Ownership.Race in
+  let _, race_wall = run "CHECK race jobs=1" Simulator.Runtime.Check_mode.Race in
   let race_findings =
     Analysis.Race.race_count () + Analysis.Ownership.violation_count ()
   in
@@ -899,29 +898,26 @@ let experiment_obs prepared (warm : warm_report) =
   section "OBS" "observability overhead (RD_TRACE) and metrics snapshot";
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
-  let run label mode =
-    let prior_trace = Simulator.Runtime.trace () in
-    let prior_warm = Simulator.Warm.current () in
-    Simulator.Runtime.set_trace mode;
-    Simulator.Warm.set Simulator.Warm.On;
-    Fun.protect
-      ~finally:(fun () ->
-        Simulator.Runtime.set_trace prior_trace;
-        Simulator.Warm.set prior_warm)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let result =
-          time label (fun () ->
-              Core.build
-                ~options:
-                  {
-                    Refine.Refiner.default_options with
-                    max_iterations = Some 14;
-                    jobs = Some 1;
-                  }
-                prepared ~training)
-        in
-        (result, Unix.gettimeofday () -. t0))
+  let run label trace =
+    Knobs.with_runtime
+      (fun rt ->
+        { rt with
+          Simulator.Runtime.trace;
+          warm = Simulator.Runtime.Warm_mode.On })
+    @@ fun () ->
+    let t0 = Unix.gettimeofday () in
+    let result =
+      time label (fun () ->
+          Core.build
+            ~options:
+              {
+                Refine.Refiner.default_options with
+                max_iterations = Some 14;
+                jobs = Some 1;
+              }
+            prepared ~training)
+    in
+    (result, Unix.gettimeofday () -. t0)
   in
   let _, off1 = run "OBS trace=off jobs=1 (1/2)" Obs.Trace.Off in
   let _, off2 = run "OBS trace=off jobs=1 (2/2)" Obs.Trace.Off in
@@ -1142,25 +1138,22 @@ let experiment_churn prepared =
      injection must recover everything (no failures, empty quarantine).
      Each run gets a fresh model: replay mutates the live net. *)
   section "CHURN" "event-stream replay: warm reconvergence vs cold (lib/stream)";
-  let run label mode faults =
-    let ambient = Simulator.Faultinject.current () in
-    Simulator.Faultinject.set faults;
-    Fun.protect
-      ~finally:(fun () -> Simulator.Faultinject.set ambient)
-      (fun () ->
-        let model = Asmodel.Qrmodel.initial prepared.Core.graph in
-        let stream =
-          Stream.Streamgen.mixed ~events:48 model (Random.State.make [| 42 |])
-        in
-        time label (fun () -> snd (Stream.Replay.run ~mode model stream)))
+  let run label warm faults =
+    Knobs.with_runtime (fun rt -> { rt with Simulator.Runtime.warm; faults })
+    @@ fun () ->
+    let model = Asmodel.Qrmodel.initial prepared.Core.graph in
+    let stream =
+      Stream.Streamgen.mixed ~events:48 model (Random.State.make [| 42 |])
+    in
+    time label (fun () -> snd (Stream.Replay.run model stream))
   in
-  let warm = run "CHURN warm" Simulator.Warm.On None in
-  let cold = run "CHURN cold" Simulator.Warm.Off None in
+  let warm = run "CHURN warm" Simulator.Runtime.Warm_mode.On None in
+  let cold = run "CHURN cold" Simulator.Runtime.Warm_mode.Off None in
   let faulted =
-    run "CHURN warm faults=0.05:42" Simulator.Warm.On
+    run "CHURN warm faults=0.05:42" Simulator.Runtime.Warm_mode.On
       (Some
-         { Simulator.Faultinject.rate = 0.05; seed = 42;
-           scope = Simulator.Faultinject.Transient })
+         { Simulator.Runtime.Fault.rate = 0.05; seed = 42;
+           scope = Simulator.Runtime.Fault.Transient })
   in
   let sum f (r : Stream.Replay.report) =
     List.fold_left (fun acc (_, cs) -> acc + f cs) 0 r.Stream.Replay.classes
@@ -1423,7 +1416,7 @@ let experiment_scale ~ases ~seed =
              (fun i (p, anchors) ->
                let t0 = Unix.gettimeofday () in
                let st =
-                 Simulator.Engine_reference.simulate net ~prefix:p
+                 Engine_reference.simulate net ~prefix:p
                    ~originators:anchors
                in
                let w = Unix.gettimeofday () -. t0 in
@@ -1458,7 +1451,7 @@ let experiment_scale ~ases ~seed =
   let flat_wall = Array.fold_left ( +. ) 0.0 flat_min in
   let ref_events =
     List.fold_left
-      (fun acc st -> acc + Simulator.Engine_reference.events st)
+      (fun acc st -> acc + Engine_reference.events st)
       0 ref_states
   in
   let flat_events =
@@ -1468,11 +1461,11 @@ let experiment_scale ~ases ~seed =
     ref_events = flat_events
     && List.for_all2
          (fun rst fst_ ->
-           Simulator.Engine_reference.state_fingerprint rst
+           Engine_reference.state_fingerprint rst
            = Simulator.Engine.state_fingerprint fst_
-           && Simulator.Engine_reference.events rst
+           && Engine_reference.events rst
               = Simulator.Engine.events fst_
-           && Simulator.Engine_reference.converged rst
+           && Engine_reference.converged rst
               = Simulator.Engine.converged fst_)
          ref_states flat_states
   in
@@ -1497,7 +1490,7 @@ let experiment_scale ~ases ~seed =
           (fun (p, anchors) (rst, fst_) ->
             Simulator.Net.set_import_med net touch_node 0 p 7;
             let rw =
-              Simulator.Engine_reference.simulate net ~from:rst ~prefix:p
+              Engine_reference.simulate net ~from:rst ~prefix:p
                 ~originators:anchors
             in
             let fw =
@@ -1508,9 +1501,9 @@ let experiment_scale ~ases ~seed =
             Simulator.Net.clear_touched net p;
             incr warm_pairs;
             if
-              Simulator.Engine_reference.state_fingerprint rw
+              Engine_reference.state_fingerprint rw
               <> Simulator.Engine.state_fingerprint fw
-              || Simulator.Engine_reference.events rw
+              || Engine_reference.events rw
                  <> Simulator.Engine.events fw
             then warm_identical := false)
           samples
@@ -1698,15 +1691,11 @@ let write_bench_json path ~scale ~seed ~jobs warm check obs serve churn
             else float_of_int w.warm_events /. float_of_int w.cold_events));
       Printf.bprintf b "    \"wall_ratio\": %s,\n"
         (json_num (if w.cold_wall > 0.0 then w.warm_wall /. w.cold_wall else 0.0));
-      Printf.bprintf b "    \"warm_runs\": %d,\n"
-        w.warm_stats.Simulator.Warm.warm_runs;
-      Printf.bprintf b "    \"cold_runs\": %d,\n"
-        w.warm_stats.Simulator.Warm.cold_runs;
+      Printf.bprintf b "    \"warm_runs\": %d,\n" w.warm_runs;
+      Printf.bprintf b "    \"cold_runs\": %d,\n" w.cold_runs;
       Printf.bprintf b "    \"identical_results\": %b,\n" w.identical;
-      Printf.bprintf b "    \"verified\": %d,\n"
-        w.verify_stats.Simulator.Warm.verified;
-      Printf.bprintf b "    \"divergences\": %d,\n"
-        w.verify_stats.Simulator.Warm.divergences;
+      Printf.bprintf b "    \"verified\": %d,\n" w.verified;
+      Printf.bprintf b "    \"divergences\": %d,\n" w.divergences;
       Printf.bprintf b
         "    \"pool\": {\"prefixes\": %d, \"events\": %d, \"non_converged\": \
          %d, \"retried\": %d, \"failed\": %d, \"wall_s\": %.3f}\n"
@@ -1897,6 +1886,7 @@ let () =
     with
     | Ok (rt, rest) ->
         Simulator.Runtime.set rt;
+        Analysis.Ownership.ensure ();
         rest
     | Error msg ->
         prerr_endline msg;
@@ -1928,7 +1918,7 @@ let () =
         exit 1
   in
   Format.printf "simulation workers: %d (RD_JOBS/--jobs to change)@."
-    (Simulator.Pool.default_jobs ());
+    (Simulator.Runtime.jobs ());
   Format.printf "runtime: %a@." Simulator.Runtime.pp
     (Simulator.Runtime.current ());
   let t_start = Unix.gettimeofday () in
@@ -2018,7 +2008,7 @@ let () =
   write_bench_json
     (value "--json" "BENCH.json")
     ~scale ~seed
-    ~jobs:(Simulator.Pool.default_jobs ())
+    ~jobs:(Simulator.Runtime.jobs ())
     !warm_report !check_report !obs_report !serve_report !churn_report
     !scale_report !topo_report;
   Obs.Trace.flush std;

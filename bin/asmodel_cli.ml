@@ -7,6 +7,7 @@
 
 open Cmdliner
 open Bgp
+module Runtime = Simulator.Runtime
 
 let progress label =
   let last = ref (-1) in
@@ -44,51 +45,32 @@ let load_dataset path =
 
 let std = Format.std_formatter
 
-(* Simulation worker count, shared by every subcommand that simulates.
-   Precedence: --jobs flag > RD_JOBS env > Domain.recommended_domain_count.
-   An explicit flag deserves a hard failure: reject 0 and negatives here
-   instead of letting Pool.set_default_jobs clamp them silently. *)
-let positive_int_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+(* Knob flags.  Every converter wraps the per-knob parser of
+   Simulator.Runtime — the one that also reads the RD_* variable — so a
+   value is accepted or rejected the same way as flag or variable. *)
+let knob_conv parse print =
+  Arg.conv ((fun s -> Result.map_error (fun m -> `Msg m) (parse s)), print)
+
+let show to_string ppf x = Format.pp_print_string ppf (to_string x)
 
 let jobs_arg =
   Arg.(
     value
-    & opt (some positive_int_conv) None
+    & opt (some (knob_conv Runtime.parse_jobs Format.pp_print_int)) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for per-prefix simulation (default: $(b,RD_JOBS) \
            or the machine's recommended domain count).  Results are \
            identical for every value.")
 
-let apply_jobs = function
-  | Some j -> Simulator.Pool.set_default_jobs j
-  | None -> ()
-
-(* Deterministic fault injection (testing the pipeline's resilience).
-   Precedence: --faults flag > RD_FAULTS env. *)
-let faults_conv =
-  let parse s =
-    match Simulator.Faultinject.parse s with
-    | Ok t -> Ok t
-    | Error msg -> Error (`Msg msg)
-  in
+let faults_arg =
   let print ppf = function
     | None -> Format.pp_print_string ppf "off"
-    | Some t -> Simulator.Faultinject.pp ppf t
+    | Some t -> Runtime.Fault.pp ppf t
   in
-  Arg.conv (parse, print)
-
-let faults_arg =
   Arg.(
     value
-    & opt (some faults_conv) None
+    & opt (some (knob_conv Runtime.Fault.parse print)) None
     & info [ "faults" ] ~docv:"RATE:SEED[:full]"
         ~doc:
           "Inject deterministic faults into the simulation pipeline \
@@ -96,25 +78,14 @@ let faults_arg =
            retried task failures; $(b,RATE:SEED:full) adds permanent \
            failures and shrunk engine budgets; $(b,off) disables.")
 
-let apply_faults = function
-  | Some t -> Simulator.Faultinject.set t
-  | None -> ()
-
-(* Warm-start re-simulation in the refinement loop.
-   Precedence: --warm flag > RD_WARM env > on. *)
-let warm_conv =
-  let parse s =
-    match Simulator.Warm.parse s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m = Format.pp_print_string ppf (Simulator.Warm.mode_to_string m) in
-  Arg.conv (parse, print)
-
 let warm_arg =
   Arg.(
     value
-    & opt (some warm_conv) None
+    & opt
+        (some
+           (knob_conv Runtime.Warm_mode.parse
+              (show Runtime.Warm_mode.to_string)))
+        None
     & info [ "warm" ] ~docv:"off|on|verify"
         ~doc:
           "Warm-start re-simulation in the refinement loop (default: \
@@ -123,23 +94,11 @@ let warm_arg =
            warm side by side and reports any divergence; $(b,off) always \
            simulates from scratch.")
 
-let apply_warm = function
-  | Some m -> Simulator.Warm.set m
-  | None -> ()
-
-(* Span tracing and metrics (the observability layer).
-   Precedence: --trace flag > RD_TRACE env > off. *)
-let trace_conv =
-  let parse s =
-    match Obs.Trace.parse s with Ok m -> Ok m | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m = Format.pp_print_string ppf (Obs.Trace.mode_to_string m) in
-  Arg.conv (parse, print)
-
 let trace_arg =
   Arg.(
     value
-    & opt (some trace_conv) None
+    & opt (some (knob_conv Obs.Trace.parse (show Obs.Trace.mode_to_string)))
+        None
     & info [ "trace" ] ~docv:"off|summary|FILE.json"
         ~doc:
           "Record spans of the simulation pipeline (default: $(b,RD_TRACE) \
@@ -147,26 +106,14 @@ let trace_arg =
            after the run; a file path writes Chrome trace-event JSON \
            loadable in a trace viewer.")
 
-let apply_trace = function
-  | Some m -> Simulator.Runtime.set_trace m
-  | None -> ()
-
-(* Mutation-discipline checking. Precedence: --check flag > RD_CHECK env. *)
-let check_conv =
-  let parse s =
-    match Simulator.Runtime.Check_mode.parse s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m =
-    Format.pp_print_string ppf (Simulator.Runtime.Check_mode.to_string m)
-  in
-  Arg.conv (parse, print)
-
 let check_arg =
   Arg.(
     value
-    & opt (some check_conv) None
+    & opt
+        (some
+           (knob_conv Runtime.Check_mode.parse
+              (show Runtime.Check_mode.to_string)))
+        None
     & info [ "check" ] ~docv:"off|on|race"
         ~doc:
           "Audit mutation discipline during the run (default: \
@@ -174,9 +121,24 @@ let check_arg =
            happens-before race detector.  Findings are reported, not \
            raised; $(b,--strict) escalates them to exit 4.")
 
-let apply_check = function
-  | Some m -> Analysis.Ownership.set m
-  | None -> ()
+(* Resolve the runtime once per command: the RD_* environment, then the
+   flags given on top, then the RD_CHECK hook for the result — so
+   RD_CHECK audits every command, not only those that refine. *)
+let setup_runtime ?jobs ?faults ?warm ?check ?trace ?port ?deadline_ms () =
+  let rt = Runtime.of_env () in
+  let pick flag current = Option.value flag ~default:current in
+  let pick_opt flag current = if Option.is_some flag then flag else current in
+  Runtime.set
+    {
+      Runtime.jobs = pick_opt jobs rt.Runtime.jobs;
+      faults = pick faults rt.faults;
+      warm = pick warm rt.warm;
+      check = pick check rt.check;
+      trace = pick trace rt.trace;
+      port = pick_opt port rt.port;
+      deadline_ms = pick deadline_ms rt.deadline_ms;
+    };
+  Analysis.Ownership.ensure ()
 
 let strict_arg =
   Arg.(
@@ -212,15 +174,11 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:"Print a snapshot of every runtime metric after the run.")
 
-(* Resolve the env knobs before flag overrides, so RD_TRACE takes
-   effect even on runs that never touch the pool. *)
-let init_runtime () = ignore (Simulator.Runtime.current ())
-
 (* End-of-run observability output: the metrics snapshot (with
    [--metrics], or whenever spans are being summarised) and the trace
    summary table / trace-file write. *)
 let finish_obs ?(metrics = false) () =
-  if metrics || Simulator.Runtime.trace () = Obs.Trace.Summary then begin
+  if metrics || Runtime.trace () = Obs.Trace.Summary then begin
     Evaluation.Report.section std "OBS" "metrics snapshot";
     Format.printf "%a@." Obs.Metrics.pp_snapshot (Obs.Metrics.snapshot ())
   end;
@@ -251,10 +209,7 @@ let family_arg =
              (Netgen.Family.syntax_help ())))
 
 let generate seed family scale ases binary out jobs faults trace =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_trace trace;
+  setup_runtime ?jobs ?faults ?trace ();
   let conf =
     match ases with
     | Some n -> { (Netgen.Conf.sized n) with Netgen.Conf.seed; family }
@@ -373,7 +328,7 @@ let min_score_conv =
   Arg.conv (parse, Format.pp_print_float)
 
 let topo_compare world_a world_b seed scale ases min_score =
-  init_runtime ();
+  setup_runtime ();
   let label = function
     | `File path -> path
     | `Family f -> Netgen.Family.to_string f
@@ -553,12 +508,7 @@ let max_iter_arg =
 
 let build input split_seed train_fraction by_origin model_out max_iter jobs
     faults warm check strict trace metrics =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_warm warm;
-  apply_check check;
-  apply_trace trace;
+  setup_runtime ?jobs ?faults ?warm ?check ?trace ();
   let data = load_datasets input in
   let options =
     { Refine.Refiner.default_options with max_iterations = max_iter }
@@ -600,15 +550,12 @@ let build input split_seed train_fraction by_origin model_out max_iter jobs
       );
       ( "simulation pool",
         Format.asprintf "%a" Simulator.Pool.pp_stats r.Refine.Refiner.pool );
-      ( "warm starts",
-        Format.asprintf "%a" Simulator.Warm.pp_stats (Simulator.Warm.stats ())
-      );
     ];
-  (let ws = Simulator.Warm.stats () in
-   if ws.Simulator.Warm.divergences > 0 then
+  (let d = Obs.Metrics.find_counter "warm.divergences" in
+   if d > 0 then
      Printf.eprintf
        "warning: %d warm-start divergences detected (cold results were used)\n%!"
-       ws.Simulator.Warm.divergences);
+       d);
   if r.Refine.Refiner.pool.Simulator.Pool.non_converged > 0 then
     Printf.eprintf
       "warning: %d simulations hit their event budget (partial states)\n%!"
@@ -651,10 +598,7 @@ let model_arg =
     & info [ "model" ] ~docv:"FILE" ~doc:"A model saved by 'build'.")
 
 let eval_run model_path input jobs faults trace metrics =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_trace trace;
+  setup_runtime ?jobs ?faults ?trace ();
   match Asmodel.Serialize.load model_path with
   | Error msg ->
       Printf.eprintf "cannot load model: %s\n" msg;
@@ -729,21 +673,21 @@ let trace model_path prefix_str asn_opt =
       | Some prefix ->
           let st = Asmodel.Qrmodel.simulate model prefix in
           let net = model.Asmodel.Qrmodel.net in
-          let tree = Simulator.Trace.tree net st in
+          let tree = Simulator.Forest.tree net st in
           Printf.printf "propagation forest for %s: %d roots, %d unrouted\n"
             (Prefix.to_string prefix)
-            (List.length tree.Simulator.Trace.roots)
-            (List.length tree.Simulator.Trace.unrouted);
+            (List.length tree.Simulator.Forest.roots)
+            (List.length tree.Simulator.Forest.unrouted);
           Printf.printf "depth profile:\n";
           List.iter
             (fun (d, n) -> Printf.printf "  depth %d: %d quasi-routers\n" d n)
-            (Simulator.Trace.depth_histogram tree);
+            (Simulator.Forest.depth_histogram tree);
           (match asn_opt with
           | None -> ()
           | Some asn ->
               List.iter
                 (fun node ->
-                  Format.printf "  %a@." (Simulator.Trace.pp_route net st) node)
+                  Format.printf "  %a@." (Simulator.Forest.pp_route net st) node)
                 (Simulator.Net.nodes_of_as net asn));
           0)
 
@@ -855,9 +799,7 @@ let checker_findings () =
   @ Analysis.Race.findings ()
 
 let check_run model_path check jobs strict =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_check check;
+  setup_runtime ?jobs ?check ();
   match Asmodel.Serialize.load model_path with
   | Error msg ->
       Printf.eprintf "cannot load model: %s\n" msg;
@@ -918,6 +860,7 @@ let as_b_arg =
   Arg.(required & pos 1 (some int) None & info [] ~docv:"AS2" ~doc:"Second AS.")
 
 let whatif model_path a b =
+  setup_runtime ();
   match Asmodel.Serialize.load model_path with
   | Error msg ->
       Printf.eprintf "cannot load model: %s\n" msg;
@@ -975,12 +918,7 @@ let stream_seed_arg =
 
 let replay_run model_path scenario events stream_seed jobs faults warm check
     strict trace metrics =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_warm warm;
-  apply_check check;
-  apply_trace trace;
+  setup_runtime ?jobs ?faults ?warm ?check ?trace ();
   match Stream.Streamgen.of_name scenario with
   | None ->
       Printf.eprintf "unknown scenario %S (one of: %s)\n" scenario
@@ -1033,25 +971,16 @@ let socket_arg =
 let port_arg =
   Arg.(
     value
-    & opt (some positive_int_conv) None
+    & opt (some (knob_conv Runtime.parse_port Format.pp_print_int)) None
     & info [ "port" ] ~docv:"N"
         ~doc:
           "Serve on loopback TCP port $(docv) instead of the Unix socket \
            (default: $(b,RD_PORT) or the Unix socket).")
 
-let nonneg_int_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> Ok n
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let deadline_arg =
   Arg.(
     value
-    & opt (some nonneg_int_conv) None
+    & opt (some (knob_conv Runtime.parse_deadline_ms Format.pp_print_int)) None
     & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:
           "Per-query deadline in milliseconds; overruns are answered anyway \
@@ -1059,19 +988,12 @@ let deadline_arg =
            $(b,0) disables).")
 
 let resolve_listen socket =
-  match Simulator.Runtime.port () with
+  match Runtime.port () with
   | Some p -> Serve.Server.Tcp p
   | None -> Serve.Server.Unix_path socket
 
-let serve_run model_path socket port deadline jobs faults trace metrics =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_trace trace;
-  (match port with Some _ -> Simulator.Runtime.set_port port | None -> ());
-  (match deadline with
-  | Some d -> Simulator.Runtime.set_deadline_ms d
-  | None -> ());
+let serve_run model_path socket port deadline_ms jobs faults trace metrics =
+  setup_runtime ?jobs ?faults ?trace ?port ?deadline_ms ();
   match Asmodel.Serialize.load model_path with
   | Error msg ->
       Printf.eprintf "cannot load model: %s\n" msg;
@@ -1092,7 +1014,7 @@ let serve_run model_path socket port deadline jobs faults trace metrics =
         (match listen with
         | Serve.Server.Unix_path p -> p
         | Serve.Server.Tcp p -> Printf.sprintf "127.0.0.1:%d" p)
-        (let d = Simulator.Runtime.deadline_ms () in
+        (let d = Runtime.deadline_ms () in
          if d = 0 then ", no deadline"
          else Printf.sprintf ", deadline %dms" d);
       Serve.Server.wait srv;
@@ -1156,8 +1078,7 @@ let parse_query_words words =
         (Printf.sprintf "unrecognized query: %s" (String.concat " " words))
 
 let query_run socket port words =
-  init_runtime ();
-  (match port with Some _ -> Simulator.Runtime.set_port port | None -> ());
+  setup_runtime ?port ();
   match parse_query_words words with
   | Error msg ->
       Printf.eprintf "asmodel query: %s\n" msg;

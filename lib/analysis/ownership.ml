@@ -2,12 +2,6 @@ module Net = Simulator.Net
 module Pool = Simulator.Pool
 module Runtime = Simulator.Runtime
 
-type mode = Runtime.Check_mode.t = Off | On | Race
-
-let parse s = Result.to_option (Runtime.Check_mode.parse s)
-
-let mode_to_string = Runtime.Check_mode.to_string
-
 type violation = {
   rule : string;
   domain : int;
@@ -88,10 +82,9 @@ let record net m =
                  (Format.asprintf "%a" Bgp.Prefix.pp prefix)))
 
 (* The mode lives in {!Runtime} (with the other knobs); this module
-   owns only the hook.  [sync] reconciles the hook with the ambient
+   owns only the hook.  [ensure] reconciles the hook with the ambient
    mode — the analysis layer sits above the simulator, so Runtime
-   cannot install it when the mode is set through Runtime directly;
-   the next [current]/[ensure] call here does. *)
+   cannot install it when the mode is set. *)
 let installed = ref false
 
 let install () =
@@ -109,20 +102,12 @@ let uninstall () =
 (* [Race] is a strict superset of [On]: the mutation-discipline hook
    stays installed and the happens-before detector's probe hook comes
    up beside it (Race.sync). *)
-let sync m =
-  (match m with On | Race -> install () | Off -> uninstall ());
-  Race.sync m
-
-let set m =
-  Runtime.set_check m;
-  sync m
-
-let current () =
+let ensure () =
   let m = Runtime.check () in
-  sync m;
-  m
-
-let ensure () = ignore (current ())
+  (match m with
+  | Runtime.Check_mode.On | Race -> install ()
+  | Off -> uninstall ());
+  Race.sync m
 
 let violations () = Mutex.protect mutex (fun () -> List.rev !recorded)
 

@@ -20,33 +20,17 @@
     checker must not change control flow, only observability.  The
     refiner reports them after each run; tests assert on them.  With
     [RD_CHECK=off] (the default) no hook is installed and mutators pay
-    one load and a branch. *)
-
-type mode = Simulator.Runtime.Check_mode.t = Off | On | Race
-
-val parse : string -> mode option
-(** ["off"]/["0"]/["false"]/[""], ["on"]/["1"]/["true"] and
-    ["race"]/["hb"]. *)
-
-val mode_to_string : mode -> string
-
-val set : mode -> unit
-(** Process-wide override (wired to tests and the bench driver):
-    records the mode in {!Simulator.Runtime} and installs or removes
-    the {!Simulator.Net} hook accordingly.  [Race] keeps this hook and
-    additionally installs the {!Race} happens-before detector's
-    {!Obs.Probe} hook — a strict superset of [On]. *)
-
-val current : unit -> mode
-(** The mode in force, read from {!Simulator.Runtime} (the value set
-    via either API, else [RD_CHECK] from the environment, else {!Off})
-    — and the hook is synced to it, so a mode set through
-    [Runtime.set_check] takes effect here. *)
+    one load and a branch.  The mode itself is
+    {!Simulator.Runtime.check}; this module owns only the hook. *)
 
 val ensure : unit -> unit
-(** Resolve the mode (and install the hook if needed) — called at
-    refiner entry so linking the library suffices to honour
-    [RD_CHECK]. *)
+(** Install or remove the hook to match {!Simulator.Runtime.check}.
+    [On] installs the {!Simulator.Net} mutation hook; [Race] keeps it
+    and additionally installs the {!Race} happens-before detector's
+    {!Obs.Probe} hook — a strict superset of [On]; [Off] removes both.
+    Call it after every change of the check mode: the CLI does once
+    flags are applied, the refiner at entry, and the test runner
+    before the suite. *)
 
 type violation = {
   rule : string;  (** the mutator that fired, e.g. ["deny-export"] *)

@@ -18,7 +18,7 @@
 
     Like {!Ownership}, the detector records rather than raises, and is
     synced to the ambient {!Simulator.Runtime.Check_mode} by
-    [Ownership.sync] — [Race] installs both the ownership hook and
+    [Ownership.ensure] — [Race] installs both the ownership hook and
     this one (a strict superset of [on]). *)
 
 type access = { site : string; domain : int }
@@ -37,7 +37,8 @@ val allowlist : (string * string) list
 
 val sync : Simulator.Runtime.Check_mode.t -> unit
 (** Install the probe hook for [Race], remove it otherwise.  Called by
-    [Ownership.sync]; callers normally go through [Ownership.set]. *)
+    [Ownership.ensure]; callers set the mode with
+    [Simulator.Runtime.set_check] and then call [Ownership.ensure]. *)
 
 val races : unit -> race list
 (** Non-benign races since the last {!reset}, oldest first,

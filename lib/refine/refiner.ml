@@ -2,7 +2,6 @@ open Bgp
 module Net = Simulator.Net
 module Engine = Simulator.Engine
 module Pool = Simulator.Pool
-module Warm = Simulator.Warm
 module Qrmodel = Asmodel.Qrmodel
 
 type ranking = Med_ranking | Lpref_ranking
@@ -182,55 +181,20 @@ let refine ?(options = default_options) ?on_iteration model ~training =
     Hashtbl.create (List.length work)
   in
   let dirty : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let jobs = match options.jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  let warm_mode = Warm.current () in
-  let simulate_cold prefix =
-    Warm.note_cold ();
-    Qrmodel.simulate model prefix
+  let jobs =
+    match options.jobs with
+    | Some j -> max 1 j
+    | None -> Simulator.Runtime.jobs ()
   in
-  (* Warm-start closure, run from pool worker domains.  The [states]
-     table and the network's touched sets are only read here — all
-     writes happen in the sequential phases between pool calls — so the
-     concurrent lookups are safe.  A prefix resumes from its previous
-     state whenever that state converged at the network's current
-     generation ({!Engine.resumable}); the first iteration, quarantined
-     prefixes and any round that changed the structure (duplications)
-     fall back to a cold run. *)
+  (* Run from pool worker domains.  The [states] table and the
+     network's touched sets are only read here — all writes happen in
+     the sequential phases between pool calls — so the concurrent
+     lookups are safe.  The engine resumes from the cached state when
+     it converged at the network's current generation and the warm mode
+     allows it; the first iteration, quarantined prefixes and any round
+     that changed the structure (duplications) run cold. *)
   let simulate prefix =
-    match warm_mode with
-    | Warm.Off -> simulate_cold prefix
-    | Warm.On -> (
-        match Hashtbl.find_opt states prefix with
-        | Some prev when Engine.resumable net prev ->
-            Warm.note_warm ();
-            Qrmodel.simulate model ~from:prev prefix
-        | _ -> simulate_cold prefix)
-    | Warm.Verify -> (
-        match Hashtbl.find_opt states prefix with
-        | Some prev when Engine.resumable net prev ->
-            Warm.note_warm ();
-            let warm = Qrmodel.simulate model ~from:prev prefix in
-            let cold = simulate_cold prefix in
-            Warm.note_verified ();
-            let diverged =
-              if Engine.converged cold <> Engine.converged warm then true
-              else
-                Engine.converged cold && not (Engine.same_state cold warm)
-            in
-            if diverged then begin
-              Warm.note_divergence ();
-              Logs.err (fun m ->
-                  m
-                    "refiner: warm-start divergence on prefix %a (cold %a \
-                     fp=%x, warm %a fp=%x)"
-                    Prefix.pp prefix Engine.pp_outcome (Engine.outcome cold)
-                    (Engine.state_fingerprint cold)
-                    Engine.pp_outcome (Engine.outcome warm)
-                    (Engine.state_fingerprint warm))
-            end;
-            (* The cold state is ground truth either way. *)
-            cold
-        | _ -> simulate_cold prefix)
+    Qrmodel.simulate model ?from:(Hashtbl.find_opt states prefix) prefix
   in
   (* Phased loop: the set of prefixes needing re-simulation is fixed at
      the top of each iteration (a prefix marked dirty mid-iteration is
@@ -499,9 +463,9 @@ let refine ?(options = default_options) ?on_iteration model ~training =
      we just built — a malformed refined model means the run's results
      cannot be trusted, so it is reported loudly (but not raised: the
      checker observes, callers and CI decide). *)
-  (match Analysis.Ownership.current () with
-  | Analysis.Ownership.Off -> ()
-  | Analysis.Ownership.On | Analysis.Ownership.Race ->
+  (match Simulator.Runtime.check () with
+  | Simulator.Runtime.Check_mode.Off -> ()
+  | Simulator.Runtime.Check_mode.On | Simulator.Runtime.Check_mode.Race ->
       let fresh =
         Analysis.Ownership.violation_count () - violations_before
       in

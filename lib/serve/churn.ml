@@ -2,6 +2,7 @@ module Qrmodel = Asmodel.Qrmodel
 module Asgraph = Topology.Asgraph
 module Event = Stream.Event
 module Replay = Stream.Replay
+module Pool = Simulator.Pool
 
 let reloads_m = Obs.Metrics.counter "serve.reloads"
 
@@ -18,14 +19,10 @@ let reload ?jobs store =
   | None -> Error "no snapshot published"
   | Some snap -> (
       let t0 = Obs.Trace.now_us () in
-      let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
       match Snapshot.exclusive snap (fun () -> Snapshot.rebuild ?jobs snap) with
       | exception exn -> Error (Printexc.to_string exn)
       | next ->
-          let resume_hits =
-            max 0
-              (Obs.Metrics.find_counter "engine.warm_resume_hits" - hits0)
-          in
+          let resume_hits = (Snapshot.build_stats next).Pool.resumed in
           (* Publish outside the exclusive section: it retires the old
              snapshot's executor, which must not be joined from its own
              thread. *)

@@ -31,5 +31,7 @@ val reload :
   ?jobs:int -> Snapshot.store -> (Protocol.payload, string) result
 (** Rebuild the current snapshot warm ({!Snapshot.rebuild}) and
     publish the replacement; the [Reloaded] payload reports prefix
-    count, warm-resume hits and build seconds.  Counted in the
+    count, warm-resume hits (the rebuild batch's
+    {!Simulator.Pool.stats}[.resumed], so a concurrent what-if is never
+    counted) and build seconds.  Counted in the
     [serve.reloads] / [serve.reload_resume_hits] metrics. *)

@@ -92,8 +92,7 @@ let eval_whatif ?jobs snap a b =
           List.iter (fun p -> Net.clear_touched net p) targets
         in
         Fun.protect ~finally (fun () ->
-            let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
-            let states, _stats =
+            let states, stats =
               Pool.simulate ?jobs
                 ~sim:(fun p ->
                   let from = Snapshot.state snap p in
@@ -105,10 +104,7 @@ let eval_whatif ?jobs snap a b =
                   Engine.simulate ?from net ~prefix:p ~originators)
                 targets
             in
-            let resume_hits =
-              max 0
-                (Obs.Metrics.find_counter "engine.warm_resume_hits" - hits0)
-            in
+            let resume_hits = stats.Pool.resumed in
             Obs.Metrics.incr ~by:resume_hits whatif_resume_hits_m;
             let after = Whatif.of_states model states in
             let d = Whatif.diff (Snapshot.baseline snap) after in

@@ -5,11 +5,14 @@
     What-if queries re-converge every prefix {e warm} from the cached
     states ([Engine.simulate ?from]) after denying the link, then
     restore the network exactly; the whole mutate/simulate/revert
-    sequence runs on the snapshot's executor thread.
+    sequence runs on the snapshot's executor thread.  The resumes
+    follow [RD_WARM] ({!Simulator.Runtime.warm}): [off] re-converges
+    cold, [verify] cross-checks every resume against a cold run.
 
     Metrics: [serve.queries], [serve.deadline_misses],
     [serve.latency_us] (histogram), [serve.whatif_resume_hits] (warm
-    resumes actually used by what-if deltas). *)
+    resumes actually used by what-if deltas, from the batch's
+    {!Simulator.Pool.stats}). *)
 
 val eval :
   ?jobs:int ->

@@ -41,7 +41,9 @@ val of_states :
 val rebuild : ?jobs:int -> t -> t
 (** Reconverge every cached prefix {e warm} from this snapshot's
     states against the (possibly churn-mutated) network and return a
-    fresh snapshot ready to {!publish}.  Run it through {!exclusive}
+    fresh snapshot ready to {!publish}; the resumes follow [RD_WARM]
+    ({!Simulator.Runtime.warm}), and {!build_stats} of the result
+    counts them.  Run it through {!exclusive}
     so it serializes with what-if mutation; publish {e outside} the
     exclusive section (publishing retires this snapshot's executor,
     which must not be joined from its own thread). *)

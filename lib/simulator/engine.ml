@@ -27,6 +27,7 @@ type state = {
   slab : Rattr.t array;  (* RIB-In slots; Rattr.no_route = empty *)
   best : Rattr.t array;  (* per node; Rattr.no_route = no route *)
   originates : bool array;
+  resumed : bool;  (* seeded from a previous state, not from scratch *)
   mutable outcome : outcome;
   mutable events : int;
 }
@@ -50,6 +51,10 @@ let resume_hits_m = Obs.Metrics.counter "engine.warm_resume_hits"
 
 let resume_misses_m = Obs.Metrics.counter "engine.warm_resume_misses"
 
+let verified_m = Obs.Metrics.counter "warm.verified"
+
+let divergences_m = Obs.Metrics.counter "warm.divergences"
+
 let prefix st = st.pfx
 
 let generation st = st.gen
@@ -57,6 +62,8 @@ let generation st = st.gen
 let outcome st = st.outcome
 
 let converged st = st.outcome = Converged
+
+let resumed st = st.resumed
 
 let events st = st.events
 
@@ -582,6 +589,7 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
       slab = Array.make (Net.Csr.slot_count c) Rattr.no_route;
       best = Array.make n Rattr.no_route;
       originates = Array.make n false;
+      resumed = false;
       outcome = Converged;
       events = 0;
     }
@@ -614,6 +622,7 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
       slab = Array.copy prev.slab;
       best = Array.copy prev.best;
       originates = Array.copy prev.originates;
+      resumed = true;
       outcome = Converged;
       events = 0;
     }
@@ -646,20 +655,45 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
       List.iter enqueue !origin_delta;
       List.iter (fun u -> if u >= 0 && u < n then replay u) touched)
 
+(* The one place the warm mode is interpreted.  [Verify] re-runs every
+   resume cold: the two runs must agree on convergence, and converged
+   states must be the same; on a divergence the cold state wins.  The
+   cold re-run goes straight to [cold], so it counts neither as a hit
+   nor as a miss. *)
 let simulate ?max_events ?max_escalations ?on_best_change ?from ?touched net
     ~prefix:pfx ~originators =
+  let mode = Runtime.warm () in
+  let from = if mode = Runtime.Warm_mode.Off then None else from in
   match from with
   | Some prev when resumable net prev && prev.pfx = pfx ->
       Obs.Metrics.incr resume_hits_m;
       let touched =
         match touched with Some t -> t | None -> Net.touched_nodes net pfx
       in
-      warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
-        ~originators
+      let w =
+        warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
+          ~originators
+      in
+      if mode <> Runtime.Warm_mode.Verify then w
+      else begin
+        let c =
+          cold ?max_events ?max_escalations net ~prefix:pfx ~originators
+        in
+        Obs.Metrics.incr verified_m;
+        if converged c = converged w && ((not (converged c)) || same_state c w)
+        then w
+        else begin
+          Obs.Metrics.incr divergences_m;
+          Logs.err (fun m ->
+              m "engine: warm-start divergence on prefix %a (cold %a fp=%x, \
+                 warm %a fp=%x)"
+                Prefix.pp pfx pp_outcome c.outcome (state_fingerprint c)
+                pp_outcome w.outcome (state_fingerprint w));
+          c
+        end
+      end
   | _ ->
-      (match from with
-      | Some _ -> Obs.Metrics.incr resume_misses_m
-      | None -> ());
+      if Option.is_some from then Obs.Metrics.incr resume_misses_m;
       cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
         ~originators
 

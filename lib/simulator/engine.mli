@@ -47,6 +47,14 @@ val simulate :
     [engine.warm_resume_misses] metric), so callers can pass their
     cache slot unconditionally.
 
+    [from] is honoured according to {!Runtime.warm}, read once per
+    call: [Off] ignores it; [On] resumes; [Verify] resumes, re-runs the
+    prefix cold (outside the hit/miss counters), and compares the two —
+    both must agree on convergence, and converged states must be
+    {!same_state}.  Each comparison bumps the [warm.verified] metric; a
+    mismatch bumps [warm.divergences], is logged as an error, and
+    returns the cold state.  Otherwise the warm state is returned.
+
     [max_events] (default [1000 + 200 * node_count]) bounds node
     activations.  When the budget runs out with work still queued, the
     run is retried with an escalating budget (×2 then ×4) up to
@@ -93,6 +101,10 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val converged : state -> bool
 (** [converged st] is [outcome st = Converged]. *)
+
+val resumed : state -> bool
+(** The state was seeded from a [from] state (a warm resume) rather
+    than computed from scratch. *)
 
 val events : state -> int
 (** Node activations performed. *)

@@ -1,6 +1,4 @@
-type scope = Runtime.Fault.scope = Transient | Full
-
-type t = Runtime.Fault.t = { rate : float; seed : int; scope : scope }
+open Runtime.Fault
 
 exception Injected of int
 
@@ -8,14 +6,6 @@ let () =
   Printexc.register_printer (function
     | Injected i -> Some (Printf.sprintf "Faultinject.Injected(task %d)" i)
     | _ -> None)
-
-let parse = Runtime.Fault.parse
-
-let set t = Runtime.set_faults t
-
-let current () = Runtime.faults ()
-
-let enabled () = current () <> None
 
 (* Streams keep the three decision kinds independent: the same seed and
    rate must not make every thrown task also a killed task. *)
@@ -33,7 +23,7 @@ let chosen t ~stream ~rate key =
   Random.State.float st 1.0 < rate
 
 let wrap_tasks ~n f =
-  match current () with
+  match Runtime.faults () with
   | None -> fun _ x -> f x
   | Some t ->
       let thrown = Array.make (max n 1) false in
@@ -51,10 +41,8 @@ let wrap_tasks ~n f =
         else f x
 
 let shrink_budget ~key budget =
-  match current () with
+  match Runtime.faults () with
   | Some ({ scope = Full; _ } as t)
     when chosen t ~stream:stream_shrink ~rate:t.rate key ->
       1
   | Some _ | None -> budget
-
-let pp = Runtime.Fault.pp

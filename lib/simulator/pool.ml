@@ -1,12 +1,6 @@
 open Bgp
 
-let set_default_jobs n = Runtime.set_jobs (Some (max 1 n))
-
-let default_jobs () = Runtime.jobs ()
-
-let resolve_jobs = function
-  | Some j -> max 1 j
-  | None -> default_jobs ()
+let resolve_jobs = function Some j -> max 1 j | None -> Runtime.jobs ()
 
 type task_error = { index : int; exn : exn; backtrace : string }
 
@@ -211,6 +205,7 @@ type stats = {
   jobs : int;
   prefixes : int;
   events : int;
+  resumed : int;
   non_converged : int;
   diverged : int;
   retried : int;
@@ -223,6 +218,7 @@ let zero =
     jobs = 0;
     prefixes = 0;
     events = 0;
+    resumed = 0;
     non_converged = 0;
     diverged = 0;
     retried = 0;
@@ -235,6 +231,7 @@ let merge a b =
     jobs = max a.jobs b.jobs;
     prefixes = a.prefixes + b.prefixes;
     events = a.events + b.events;
+    resumed = a.resumed + b.resumed;
     non_converged = a.non_converged + b.non_converged;
     diverged = a.diverged + b.diverged;
     retried = a.retried + b.retried;
@@ -259,6 +256,7 @@ let simulate_result ?jobs ?chunk ~sim prefixes =
             {
               acc with
               events = acc.events + Engine.events st;
+              resumed = (acc.resumed + if Engine.resumed st then 1 else 0);
               non_converged =
                 (acc.non_converged + if Engine.converged st then 0 else 1);
               diverged =
@@ -293,6 +291,7 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "%d prefixes on %d jobs: %d events, %d non-converged, %.2fs wall"
     s.prefixes s.jobs s.events s.non_converged s.wall;
+  if s.resumed > 0 then Format.fprintf ppf ", %d resumed" s.resumed;
   if s.diverged > 0 then Format.fprintf ppf ", %d diverged" s.diverged;
   if s.retried > 0 then Format.fprintf ppf ", %d retried" s.retried;
   if s.failed > 0 then Format.fprintf ppf ", %d failed" s.failed

@@ -88,126 +88,78 @@ let default =
     deadline_ms = 1000;
   }
 
+let parse_int ~ok ~want what s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when ok n -> Ok n
+  | Some _ | None -> Error (Printf.sprintf "bad %s %S (want %s)" what s want)
+
+let parse_jobs =
+  parse_int ~ok:(fun n -> n >= 1) ~want:"a positive integer" "job count"
+
+let parse_port =
+  parse_int ~ok:(fun n -> n >= 1 && n <= 65535) ~want:"1..65535" "port"
+
+let parse_deadline_ms =
+  parse_int ~ok:(fun n -> n >= 0) ~want:"milliseconds >= 0; 0 = none"
+    "deadline"
+
+(* One row per knob: its environment variable, its flags, and how a
+   value string updates the record.  [of_env] and [with_argv] both read
+   this table, so a knob string means the same in either place. *)
+let knobs =
+  let row var flags parse set =
+    (var, flags, fun rt s -> Result.map (set rt) (parse s))
+  in
+  [
+    row "RD_JOBS" [ "--jobs"; "-j" ] parse_jobs (fun rt n ->
+        { rt with jobs = Some n });
+    row "RD_WARM" [ "--warm" ] Warm_mode.parse (fun rt warm -> { rt with warm });
+    row "RD_CHECK" [ "--check" ] Check_mode.parse (fun rt check ->
+        { rt with check });
+    row "RD_FAULTS" [ "--faults" ] Fault.parse (fun rt faults ->
+        { rt with faults });
+    row "RD_TRACE" [ "--trace" ] Obs.Trace.parse (fun rt trace ->
+        { rt with trace });
+    row "RD_PORT" [ "--port" ] parse_port (fun rt p -> { rt with port = Some p });
+    row "RD_DEADLINE_MS" [ "--deadline-ms" ] parse_deadline_ms
+      (fun rt deadline_ms -> { rt with deadline_ms });
+  ]
+
 (* An unset or empty variable means "keep the default"; empty-string
    unsetting lets tests restore the environment with Unix.putenv. *)
-let env_value name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> ( match String.trim s with "" -> None | s -> Some s)
-
 let of_env () =
-  let knob name parse fallback =
-    match env_value name with
-    | None -> fallback
-    | Some s -> (
-        match parse s with
-        | Ok v -> v
-        | Error msg ->
-            Logs.warn (fun m -> m "ignoring %s: %s" name msg);
-            fallback)
-  in
-  let parse_jobs s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok (Some n)
-    | Some _ | None ->
-        Error (Printf.sprintf "bad job count %S (want a positive integer)" s)
-  in
-  let parse_port s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 && n <= 65535 -> Ok (Some n)
-    | Some _ | None ->
-        Error (Printf.sprintf "bad port %S (want 1..65535)" s)
-  in
-  let parse_deadline s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> Ok n
-    | Some _ | None ->
-        Error
-          (Printf.sprintf "bad deadline %S (want milliseconds >= 0; 0 = none)"
-             s)
-  in
-  {
-    jobs = knob "RD_JOBS" parse_jobs default.jobs;
-    warm = knob "RD_WARM" Warm_mode.parse default.warm;
-    check = knob "RD_CHECK" Check_mode.parse default.check;
-    faults = knob "RD_FAULTS" Fault.parse default.faults;
-    trace = knob "RD_TRACE" Obs.Trace.parse default.trace;
-    port = knob "RD_PORT" parse_port default.port;
-    deadline_ms = knob "RD_DEADLINE_MS" parse_deadline default.deadline_ms;
-  }
+  List.fold_left
+    (fun rt (var, _, apply) ->
+      match Option.map String.trim (Sys.getenv_opt var) with
+      | None | Some "" -> rt
+      | Some s -> (
+          match apply rt s with
+          | Ok rt -> rt
+          | Error msg ->
+              Logs.warn (fun m -> m "ignoring %s: %s" var msg);
+              rt))
+    default knobs
 
 let with_argv rt args =
-  let split_eq arg =
-    match String.index_opt arg '=' with
-    | Some i ->
-        ( String.sub arg 0 i,
-          Some (String.sub arg (i + 1) (String.length arg - i - 1)) )
-    | None -> (arg, None)
-  in
   let rec go rt acc = function
     | [] -> Ok (rt, List.rev acc)
     | arg :: rest -> (
-        let key, inline = split_eq arg in
-        let consume apply =
-          match
+        let key, inline =
+          match String.index_opt arg '=' with
+          | Some i ->
+              ( String.sub arg 0 i,
+                Some (String.sub arg (i + 1) (String.length arg - i - 1)) )
+          | None -> (arg, None)
+        in
+        match List.find_opt (fun (_, flags, _) -> List.mem key flags) knobs with
+        | None -> go rt (arg :: acc) rest
+        | Some (_, _, apply) -> (
             match (inline, rest) with
-            | Some v, _ -> Ok (v, rest)
-            | None, v :: rest' -> Ok (v, rest')
             | None, [] -> Error (Printf.sprintf "%s needs a value" key)
-          with
-          | Error _ as e -> e
-          | Ok (v, rest') -> (
-              match apply v with
-              | Ok rt -> Ok (rt, rest')
-              | Error msg -> Error (Printf.sprintf "%s: %s" key msg))
-        in
-        let continue = function
-          | Ok (rt, rest') -> go rt acc rest'
-          | Error _ as e -> e
-        in
-        match key with
-        | "--jobs" | "-j" ->
-            continue
-              (consume (fun v ->
-                   match int_of_string_opt (String.trim v) with
-                   | Some n when n >= 1 -> Ok { rt with jobs = Some n }
-                   | Some _ | None ->
-                       Error (Printf.sprintf "bad job count %S" v)))
-        | "--warm" ->
-            continue
-              (consume (fun v ->
-                   Result.map (fun m -> { rt with warm = m })
-                     (Warm_mode.parse v)))
-        | "--check" ->
-            continue
-              (consume (fun v ->
-                   Result.map
-                     (fun m -> { rt with check = m })
-                     (Check_mode.parse v)))
-        | "--faults" ->
-            continue
-              (consume (fun v ->
-                   Result.map (fun f -> { rt with faults = f }) (Fault.parse v)))
-        | "--trace" ->
-            continue
-              (consume (fun v ->
-                   Result.map (fun m -> { rt with trace = m })
-                     (Obs.Trace.parse v)))
-        | "--port" ->
-            continue
-              (consume (fun v ->
-                   match int_of_string_opt (String.trim v) with
-                   | Some n when n >= 1 && n <= 65535 ->
-                       Ok { rt with port = Some n }
-                   | Some _ | None -> Error (Printf.sprintf "bad port %S" v)))
-        | "--deadline-ms" ->
-            continue
-              (consume (fun v ->
-                   match int_of_string_opt (String.trim v) with
-                   | Some n when n >= 0 -> Ok { rt with deadline_ms = n }
-                   | Some _ | None ->
-                       Error (Printf.sprintf "bad deadline %S" v)))
-        | _ -> go rt (arg :: acc) rest)
+            | Some v, rest | None, v :: rest -> (
+                match apply rt v with
+                | Ok rt -> go rt acc rest
+                | Error msg -> Error (Printf.sprintf "%s: %s" key msg))))
   in
   go rt [] args
 

@@ -1,23 +1,26 @@
 (** Unified runtime configuration: one record for every process-wide
     knob — worker count, warm-start mode, mutation-discipline checking,
-    fault injection, tracing — with a single environment reader and a
-    single argv parser.
+    fault injection, tracing, serve port and deadline — with a single
+    environment reader and a single argv parser.
 
     This module is the {e only} place that reads the [RD_*] environment
     variables ([RD_JOBS], [RD_WARM], [RD_CHECK], [RD_FAULTS],
-    [RD_TRACE], [RD_PORT], [RD_DEADLINE_MS]); the CLI and the bench
-    driver derive their flags from
-    {!with_argv} and the per-knob parsers instead of hand-parsing the
-    same strings twice.  The legacy per-knob modules ({!Pool} jobs,
-    {!Warm}, {!Faultinject}, [Analysis.Ownership]) delegate their
-    [set]/[current] state here, so there is exactly one source of truth
-    whichever API a caller uses.
+    [RD_TRACE], [RD_PORT], [RD_DEADLINE_MS]) and the only place that
+    holds their values.  {!of_env} and {!with_argv} share one parser per
+    knob, which the CLI's flag converters reuse too, so a knob string
+    is accepted or rejected the same way wherever it is given.  The
+    consumers read the resolved accessors below: {!Pool} the job count,
+    {!Engine.simulate} the warm mode, {!Faultinject} the fault
+    configuration, [Analysis.Ownership.ensure] the check mode.
 
     Knob types live in submodules here (rather than in the modules that
     consume them) so that those consumers can depend on [Runtime]
     without a cycle. *)
 
-(** Warm-start re-simulation mode (see {!Warm}). *)
+(** Warm-start re-simulation mode, interpreted by {!Engine.simulate}:
+    [Off] ignores a resume state, [On] resumes from it, [Verify] resumes
+    and cross-checks against a cold run.  It governs every caller — the
+    refiner, churn replay, and serve what-if and reload rebuilds. *)
 module Warm_mode : sig
   type t = Off | On | Verify
 
@@ -65,6 +68,15 @@ type t = {
   deadline_ms : int;  (** serve: per-query deadline; [0] = no deadline *)
 }
 
+val parse_jobs : string -> (int, string) result
+(** A worker count: a positive integer. *)
+
+val parse_port : string -> (int, string) result
+(** A TCP port: [1..65535]. *)
+
+val parse_deadline_ms : string -> (int, string) result
+(** A query deadline in milliseconds: [>= 0], [0] meaning none. *)
+
 val default : t
 (** No jobs override, warm [On], check [Off], no faults, trace [Off],
     no TCP port (Unix socket), 1000 ms query deadline. *)
@@ -73,7 +85,8 @@ val of_env : unit -> t
 (** Read every [RD_*] knob from the environment (trimmed; an empty or
     unset variable means "use the default").  An invalid value is
     logged as a warning and falls back to {!default}'s field — an env
-    typo must not change simulation behaviour silently.  Pure read: the
+    typo must not change simulation behaviour silently.  Every value is
+    parsed by the same per-knob parser as {!with_argv}.  Pure read: the
     ambient configuration ({!current}) is not touched. *)
 
 val with_argv : t -> string list -> (t * string list, string) result
@@ -102,9 +115,9 @@ val set_warm : Warm_mode.t -> unit
 
 val set_check : Check_mode.t -> unit
 (** Note: this records the mode only.  [Analysis.Ownership] owns the
-    network mutation hook and syncs it with this mode on its next
-    [current]/[ensure] call (the analysis layer sits above the
-    simulator, so the hook cannot be installed from here). *)
+    network mutation hook; call [Analysis.Ownership.ensure] after
+    setting the mode to install or remove it (the analysis layer sits
+    above the simulator, so the hook cannot be installed from here). *)
 
 val set_faults : Fault.t option -> unit
 

@@ -2,8 +2,6 @@ open Bgp
 module Engine = Simulator.Engine
 module Net = Simulator.Net
 module Pool = Simulator.Pool
-module Runtime = Simulator.Runtime
-module Warm = Simulator.Warm
 module Qrmodel = Asmodel.Qrmodel
 module Asgraph = Topology.Asgraph
 
@@ -102,14 +100,12 @@ type t = {
          RD_CHECK=race every journal mutation is recorded, so a driver
          shared across domains without ordering is a race finding *)
   jobs : int option;
-  mode : Runtime.Warm_mode.t;
   states : Engine.state Prefix.Table.t;
   origins : Asn.Set.t Prefix.Table.t;
   mutable tracked_rev : Prefix.t list;
   quarantine : unit Prefix.Table.t;
   downs : (down_key, down) Hashtbl.t;
   mutable journal : jmut list;
-  divergences : int Atomic.t;  (* bumped from pool worker domains *)
   totals : (cls, acc) Hashtbl.t;
   mutable events_applied : int;
   mutable reconvergences : int;
@@ -195,8 +191,7 @@ let persist t =
 
 let replay_uid = Atomic.make 0
 
-let create ?jobs ?mode ?states:seed ?resume (model : Qrmodel.t) =
-  let mode = match mode with Some m -> m | None -> Runtime.warm () in
+let create ?jobs ?states:seed ?resume (model : Qrmodel.t) =
   let net = model.Qrmodel.net in
   let t =
     {
@@ -205,14 +200,12 @@ let create ?jobs ?mode ?states:seed ?resume (model : Qrmodel.t) =
         Printf.sprintf "%s/journal#%d" (Net.probe_name net)
           (Atomic.fetch_and_add replay_uid 1);
       jobs;
-      mode;
       states = Prefix.Table.create 64;
       origins = Prefix.Table.create 64;
       tracked_rev = [];
       quarantine = Prefix.Table.create 8;
       downs = Hashtbl.create 8;
       journal = [];
-      divergences = Atomic.make 0;
       totals = Hashtbl.create 8;
       events_applied = 0;
       reconvergences = 0;
@@ -438,35 +431,17 @@ let reconverge t batch =
   if batch = [] then (0, 0, 0, 0, [], [])
   else begin
     let net = t.model.Qrmodel.net in
-    let mode = t.mode in
-    let warm_hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
     let sim p =
       (* Runs in pool worker domains: reads the driver tables (no
-         writer is active during the batch) and bumps only atomics. *)
+         writer is active during the batch). *)
       let from =
-        if mode = Runtime.Warm_mode.Off || Prefix.Table.mem t.quarantine p
-        then None
+        if Prefix.Table.mem t.quarantine p then None
         else Prefix.Table.find_opt t.states p
       in
-      let originators = originator_nodes t p in
-      let st = Engine.simulate ?from net ~prefix:p ~originators in
-      match (mode, from) with
-      | Runtime.Warm_mode.Verify, Some prev when Engine.resumable net prev ->
-          let cold_st = Engine.simulate net ~prefix:p ~originators in
-          Warm.note_verified ();
-          if Engine.state_fingerprint st <> Engine.state_fingerprint cold_st
-          then begin
-            Warm.note_divergence ();
-            Atomic.incr t.divergences;
-            cold_st (* ground truth wins *)
-          end
-          else st
-      | _ -> st
+      Engine.simulate ?from net ~prefix:p ~originators:(originator_nodes t p)
     in
     let results, stats = Pool.simulate_result ?jobs:t.jobs ~sim batch in
-    let warm =
-      max 0 (Obs.Metrics.find_counter "engine.warm_resume_hits" - warm_hits0)
-    in
+    let warm = stats.Pool.resumed in
     t.retried <- t.retried + stats.Pool.retried;
     t.failed <- t.failed + stats.Pool.failed;
     t.reconvergences <- t.reconvergences + List.length batch;
@@ -512,10 +487,9 @@ let reconverge t batch =
       results;
     Obs.Metrics.set_gauge quarantine_g (Prefix.Table.length t.quarantine);
     Obs.Metrics.incr ~by:!shifted shifts_m;
-    let cold = List.length batch - warm in
     ( stats.Pool.events,
       warm,
-      max 0 cold,
+      List.length batch - warm,
       !shifted,
       List.rev !newly_quarantined,
       List.rev !recovered )
@@ -658,7 +632,6 @@ type report = {
   failed : int;
   quarantine : Prefix.t list;
   recovered : int;
-  divergences : int;
   fingerprint : int;
   wall_s : float;
 }
@@ -691,12 +664,11 @@ let report t ~rejected =
     failed = t.failed;
     quarantine = quarantined t;
     recovered = t.recovered_n;
-    divergences = Atomic.get t.divergences;
     fingerprint = fingerprint t;
     wall_s = t.wall_s;
   }
 
-let run ?jobs ?mode ?on_event (model : Qrmodel.t) events =
+let run ?jobs ?on_event (model : Qrmodel.t) events =
   let graph = model.Qrmodel.graph in
   let stream, rejects =
     Event.normalize ~known_as:(Asgraph.mem_node graph) events
@@ -706,7 +678,7 @@ let run ?jobs ?mode ?on_event (model : Qrmodel.t) events =
       Logs.debug (fun m ->
           m "replay: dropping event %a (%s)" Event.pp ev reason))
     rejects;
-  let t = create ?jobs ?mode model in
+  let t = create ?jobs model in
   List.iter
     (fun ev ->
       let r = apply t ev in

@@ -13,17 +13,16 @@
 
     Failure containment reuses the PR-2 machinery: the pool isolates
     and retries per-prefix faults, and a prefix whose reconvergence
-    still fails (or does not converge, or diverges under warm/cold
-    verification) is {e quarantined} — its cached state is dropped, the
+    still fails (or does not converge) is {e quarantined} — its cached state is dropped, the
     event replay continues, and the prefix is retried cold on every
     subsequent event until it recovers.  A poisoned event therefore
     degrades one prefix instead of killing the replay.
 
-    Warm behaviour follows {!Simulator.Runtime.warm} unless overridden:
-    [Off] replays every affected prefix cold, [On] resumes from the
-    cache, [Verify] resumes and re-runs cold, comparing routing
-    fingerprints (a mismatch counts as a divergence and the cold state
-    wins).
+    Every reconvergence passes the cached state to
+    {!Simulator.Engine.simulate}, so warm behaviour follows
+    {!Simulator.Runtime.warm} there: [Off] replays every affected prefix
+    cold, [On] resumes from the cache, [Verify] resumes and
+    cross-checks against a cold run.
 
     Pollution counts are control-plane and per-prefix: a sub-prefix
     hijack is a new, independent prefix (longest-match forwarding is
@@ -61,7 +60,6 @@ type persist
 
 val create :
   ?jobs:int ->
-  ?mode:Simulator.Runtime.Warm_mode.t ->
   ?states:(Prefix.t * Simulator.Engine.state) list ->
   ?resume:persist ->
   Asmodel.Qrmodel.t ->
@@ -72,8 +70,8 @@ val create :
     is simulated cold over the pool first.  [resume] seeds the
     tracking / origin / down / quarantine tables from a previous
     driver's {!persist} instead of the model's prefix list, so paired
-    events split across drivers still match up.  [mode] defaults to
-    {!Simulator.Runtime.warm}; [jobs] to the runtime worker count. *)
+    events split across drivers still match up.  [jobs] defaults to the
+    runtime worker count. *)
 
 val persist : t -> persist
 (** Capture the driver state a successor needs ([create ?resume]).
@@ -93,7 +91,7 @@ type event_report = {
   cls : cls;
   prefixes : int;  (** prefixes reconverged by this event *)
   engine_events : int;  (** node activations across those runs *)
-  warm : int;  (** runs that resumed from the cache *)
+  warm : int;  (** runs that resumed from the cache ({!Simulator.Pool.stats}[.resumed]) *)
   cold : int;
   ases_shifted : int;
       (** ASes whose selected path set changed, summed over prefixes *)
@@ -131,14 +129,12 @@ type report = {
   failed : int;  (** pool tasks still failing after retry *)
   quarantine : Prefix.t list;  (** still quarantined at the end *)
   recovered : int;  (** quarantine exits over the whole run *)
-  divergences : int;  (** verify-mode warm/cold mismatches *)
   fingerprint : int;  (** {!fingerprint} of the final state *)
   wall_s : float;
 }
 
 val run :
   ?jobs:int ->
-  ?mode:Simulator.Runtime.Warm_mode.t ->
   ?on_event:(event_report -> unit) ->
   Asmodel.Qrmodel.t ->
   Event.t list ->
@@ -146,7 +142,7 @@ val run :
 (** Normalize the stream against the model, build a driver, apply every
     surviving event, then give still-quarantined prefixes one final
     cold retry.  Deterministic up to wall-clock fields: same model,
-    same stream, same mode — same fingerprint and same counts. *)
+    same stream, same warm mode — same fingerprint and same counts. *)
 
 val report : t -> rejected:int -> report
 (** The accumulated totals of a driver (for callers stepping {!apply}

@@ -223,14 +223,9 @@ let clean_model () =
 (* -- ownership / RD_CHECK --------------------------------------------- *)
 
 let with_checker f =
-  let prior = Ownership.current () in
   Ownership.reset ();
-  Ownership.set Ownership.On;
-  Fun.protect
-    ~finally:(fun () ->
-      Ownership.set prior;
-      Ownership.reset ())
-    f
+  Knobs.with_check Simulator.Runtime.Check_mode.On (fun () ->
+      Fun.protect ~finally:Ownership.reset f)
 
 let batch_marker () =
   check_bool "idle" false (Pool.batch_active ());
@@ -319,16 +314,14 @@ module Audit = Analysis.Audit
 module Engine = Simulator.Engine
 
 let with_race f =
-  let prior = Ownership.current () in
   Ownership.reset ();
   Race.reset ();
-  Ownership.set Ownership.Race;
-  Fun.protect
-    ~finally:(fun () ->
-      Ownership.set prior;
-      Ownership.reset ();
-      Race.reset ())
-    f
+  Knobs.with_check Simulator.Runtime.Check_mode.Race (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Ownership.reset ();
+          Race.reset ())
+        f)
 
 (* Raw Domain.spawn/join with the ordering edges published to the
    probe, mirroring what Pool does — so a test can run code in another

@@ -188,17 +188,20 @@ let family_recorded =
       check_string (label ^ " provenance") label
         (Family.to_string topo.Gentopo.conf.Netgen.Conf.family))
 
-let deprecated_shim_dispatches () =
-  (* Gentopo.generate must dispatch on conf.family, not silently build
-     the paper world. *)
+let dispatcher_follows_family () =
+  (* Netgen.generate must dispatch on its family argument, not silently
+     build the preset's (paper) world. *)
   let fam = Family.Fattree { Family.pods = 4 } in
-  let via_shim =
-    Gentopo.generate
-      { conf with Netgen.Conf.family = fam }
+  let via_dispatcher =
+    Netgen.generate fam
+      { conf with Netgen.Conf.family = Family.Paper }
       (Random.State.make [| 17 |])
   in
-  let direct = topo_of fam in
-  check_bool "shim = dispatcher" true (via_shim.Gentopo.links = direct.Gentopo.links)
+  let direct = Gentopo.of_family fam conf (Random.State.make [| 17 |]) in
+  check_bool "dispatcher = of_family" true
+    (via_dispatcher.Gentopo.links = direct.Gentopo.links);
+  check_bool "not the paper world" false
+    (via_dispatcher.Gentopo.links = (topo_of Family.Paper).Gentopo.links)
 
 (* --- Groundtruth round-trip on every family ------------------------ *)
 
@@ -266,8 +269,8 @@ let suite =
     Alcotest.test_case "provider DAG" `Quick provider_acyclic;
     Alcotest.test_case "igp costs" `Quick igp_costs;
     Alcotest.test_case "family provenance" `Quick family_recorded;
-    Alcotest.test_case "deprecated shim dispatches" `Quick
-      deprecated_shim_dispatches;
+    Alcotest.test_case "dispatcher follows family" `Quick
+      dispatcher_follows_family;
     Alcotest.test_case "groundtruth round-trip" `Slow groundtruth_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_determinism;
   ]

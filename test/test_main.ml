@@ -1,6 +1,9 @@
 (* Test entry point: one alcotest run covering every library. *)
 
 let () =
+  (* Install the RD_CHECK hook up front, so RD_CHECK=on|race audits
+     every test, not only those after the first refine. *)
+  Analysis.Ownership.ensure ();
   Alcotest.run "route_diversity"
     [
       ("ipv4", Test_ipv4.suite);

@@ -303,10 +303,15 @@ let trace_file_well_formed () =
 
 (* -- Runtime: env and argv parsing -- *)
 
+(* Set variables for the duration of [f], then restore their previous
+   values (an empty value reads as unset). *)
 let with_env pairs f =
+  let saved =
+    List.map (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:"")) pairs
+  in
   List.iter (fun (k, v) -> Unix.putenv k v) pairs;
   Fun.protect
-    ~finally:(fun () -> List.iter (fun (k, _) -> Unix.putenv k "") pairs)
+    ~finally:(fun () -> List.iter (fun (k, v) -> Unix.putenv k v) saved)
     f
 
 let runtime_of_env () =
@@ -352,7 +357,48 @@ let runtime_of_env () =
       check_bool "trace off" true (rt.Runtime.trace = Trace.Off);
       check_bool "bad port falls back" true (rt.Runtime.port = None);
       check_int "bad deadline falls back" Runtime.default.Runtime.deadline_ms
-        rt.Runtime.deadline_ms)
+        rt.Runtime.deadline_ms);
+  (* One parser per knob: every string is accepted or rejected the same
+     way as an environment variable and as a flag.  [accepted] pins the
+     verdict so the table cannot pass vacuously. *)
+  List.iter
+    (fun (var, flag, value, accepted) ->
+      let label = Printf.sprintf "%s=%S" var value in
+      let base = with_env [ (var, "") ] Runtime.of_env in
+      let via_env = with_env [ (var, value) ] Runtime.of_env in
+      match Runtime.with_argv base [ flag; value ] with
+      | Ok (via_argv, []) ->
+          check_bool (label ^ " accepted") accepted true;
+          check_bool (label ^ " same record") true (via_env = via_argv)
+      | Ok (_, _ :: _) -> Alcotest.fail (label ^ ": flag not consumed")
+      | Error _ ->
+          check_bool (label ^ " rejected") accepted false;
+          check_bool (label ^ " env falls back") true (via_env = base))
+    [
+      ("RD_JOBS", "--jobs", "3", true);
+      ("RD_JOBS", "-j", " 4 ", true);
+      ("RD_JOBS", "--jobs", "0", false);
+      ("RD_JOBS", "--jobs", "-3", false);
+      ("RD_JOBS", "--jobs", "banana", false);
+      ("RD_WARM", "--warm", "verify", true);
+      ("RD_WARM", "--warm", "cold", true);
+      ("RD_WARM", "--warm", "sometimes", false);
+      ("RD_CHECK", "--check", "race", true);
+      ("RD_CHECK", "--check", "on", true);
+      ("RD_CHECK", "--check", "maybe", false);
+      ("RD_FAULTS", "--faults", "0.5:7:full", true);
+      ("RD_FAULTS", "--faults", "off", true);
+      ("RD_FAULTS", "--faults", "1.5:3", false);
+      ("RD_FAULTS", "--faults", "0.1:3:always", false);
+      ("RD_TRACE", "--trace", "summary", true);
+      ("RD_TRACE", "--trace", "spans.json", true);
+      ("RD_PORT", "--port", "4179", true);
+      ("RD_PORT", "--port", "0", false);
+      ("RD_PORT", "--port", "70000", false);
+      ("RD_DEADLINE_MS", "--deadline-ms", "0", true);
+      ("RD_DEADLINE_MS", "--deadline-ms", "-5", false);
+      ("RD_DEADLINE_MS", "--deadline-ms", "nope", false);
+    ]
 
 let runtime_with_argv () =
   let rt0 = Runtime.default in
@@ -432,8 +478,8 @@ let runtime_with_argv () =
     (Trace.mode_to_string
        (match Trace.parse "off" with Ok m -> m | Error e -> Alcotest.fail e))
 
-(* Runtime.set_trace must propagate to the live tracer, and the legacy
-   per-knob setters must feed the same configuration. *)
+(* Runtime.set_trace must propagate to the live tracer, and the
+   per-knob setters must feed the resolved accessors. *)
 let runtime_propagates () =
   let prior = Runtime.current () in
   Fun.protect
@@ -443,11 +489,11 @@ let runtime_propagates () =
       check_bool "tracer sees the mode" true (Trace.mode () = Trace.Summary);
       Runtime.set_trace Trace.Off;
       check_bool "tracer back off" true (Trace.mode () = Trace.Off);
-      Pool.set_default_jobs 0;
-      check_int "jobs clamp to 1" 1 (Pool.default_jobs ());
-      Pool.set_default_jobs 5;
-      check_int "legacy setter lands in Runtime" 5 (Runtime.jobs ());
-      Simulator.Warm.set Simulator.Warm.Verify;
+      Runtime.set_jobs (Some 0);
+      check_int "jobs clamp to 1" 1 (Runtime.jobs ());
+      Runtime.set_jobs (Some 5);
+      check_int "jobs setter lands in Runtime" 5 (Runtime.jobs ());
+      Runtime.set_warm Runtime.Warm_mode.Verify;
       check_bool "warm setter lands in Runtime" true
         (Runtime.warm () = Runtime.Warm_mode.Verify))
 
@@ -464,7 +510,7 @@ let suite =
     Alcotest.test_case "engine: events_drained agrees with state" `Quick
       events_drained_agrees;
     Alcotest.test_case "engine: simulate unifies run/resume" `Quick
-      simulate_unifies_run_and_resume;
+      (Knobs.resuming simulate_unifies_run_and_resume);
     Alcotest.test_case "pool: slot timings and retry flag" `Quick
       pool_slot_timings;
     Alcotest.test_case "trace: off/summary modes" `Quick trace_modes;

@@ -38,17 +38,18 @@ let map_propagates_exceptions () =
 
 let stats_merge () =
   let a =
-    { Pool.jobs = 4; prefixes = 3; events = 10; non_converged = 1;
+    { Pool.jobs = 4; prefixes = 3; events = 10; resumed = 2; non_converged = 1;
       diverged = 1; retried = 2; failed = 1; wall = 0.5 }
   in
   let b =
-    { Pool.jobs = 2; prefixes = 2; events = 7; non_converged = 0;
+    { Pool.jobs = 2; prefixes = 2; events = 7; resumed = 1; non_converged = 0;
       diverged = 0; retried = 1; failed = 0; wall = 0.25 }
   in
   let m = Pool.merge a b in
   check_int "jobs is max" 4 m.Pool.jobs;
   check_int "prefixes sum" 5 m.Pool.prefixes;
   check_int "events sum" 17 m.Pool.events;
+  check_int "resumed sum" 3 m.Pool.resumed;
   check_int "non-converged sum" 1 m.Pool.non_converged;
   check_int "diverged sum" 1 m.Pool.diverged;
   check_int "retried sum" 3 m.Pool.retried;
@@ -138,14 +139,16 @@ let jobs_determinism () =
   check_bool "evaluation batches identical" true
     (same_batch e1.Evaluation.Predict.pool e4.Evaluation.Predict.pool)
 
-let default_jobs_knob () =
-  let before = Pool.default_jobs () in
-  Pool.set_default_jobs 3;
-  check_int "override wins" 3 (Pool.default_jobs ());
-  Pool.set_default_jobs 0;
-  check_int "clamped to 1" 1 (Pool.default_jobs ());
-  Pool.set_default_jobs before;
-  check_int "restored" before (Pool.default_jobs ())
+let jobs_knob () =
+  let module Runtime = Simulator.Runtime in
+  let before = (Runtime.current ()).Runtime.jobs in
+  let resolved = Runtime.jobs () in
+  Runtime.set_jobs (Some 3);
+  check_int "override wins" 3 (Runtime.jobs ());
+  Runtime.set_jobs (Some 0);
+  check_int "clamped to 1" 1 (Runtime.jobs ());
+  Runtime.set_jobs before;
+  check_int "restored" resolved (Runtime.jobs ())
 
 let suite =
   [
@@ -154,5 +157,5 @@ let suite =
     Alcotest.test_case "stats merge" `Quick stats_merge;
     Alcotest.test_case "budget truncation counted" `Quick truncation_counted;
     Alcotest.test_case "jobs=1 vs jobs=4 determinism" `Quick jobs_determinism;
-    Alcotest.test_case "default-jobs knob" `Quick default_jobs_knob;
+    Alcotest.test_case "default-jobs knob" `Quick jobs_knob;
   ]

@@ -4,7 +4,6 @@
 
 module Net = Simulator.Net
 module Engine = Simulator.Engine
-module Engine_reference = Simulator.Engine_reference
 module Rattr = Simulator.Rattr
 
 let build_sized ~ases ~seed =
@@ -52,6 +51,7 @@ let arb_world_seed =
 let prop_flat_matches_reference =
   QCheck.Test.make ~name:"flat engine = reference engine (cold + warm)"
     ~count:15 arb_world_seed (fun seed ->
+      Knobs.with_warm Simulator.Runtime.Warm_mode.On @@ fun () ->
       let conf = { Netgen.Conf.tiny with Netgen.Conf.seed = seed } in
       let world = Netgen.Groundtruth.build conf in
       let net = world.Netgen.Groundtruth.net in

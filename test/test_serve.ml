@@ -544,14 +544,9 @@ let queries_across_reload () =
    zero violations: serving never mutates the published snapshot
    (what-if mutations are confined to the executor and reverted). *)
 let concurrent_queries_immutable () =
-  let prior = Ownership.current () in
   Ownership.reset ();
-  Ownership.set Ownership.On;
-  Fun.protect
-    ~finally:(fun () ->
-      Ownership.set prior;
-      Ownership.reset ())
-    (fun () ->
+  Knobs.with_check Simulator.Runtime.Check_mode.On @@ fun () ->
+  Fun.protect ~finally:Ownership.reset (fun () ->
       let snap = build_snapshot ~jobs:4 () in
       let prefixes = List.map fst (Snapshot.states snap) in
       let reqs =
@@ -603,12 +598,14 @@ let suite =
     Alcotest.test_case "framing" `Quick framing;
     Alcotest.test_case "read timeout" `Quick read_timeout;
     Alcotest.test_case "snapshot queries" `Quick snapshot_queries;
-    Alcotest.test_case "whatif query restores" `Quick whatif_query_restores;
+    Alcotest.test_case "whatif query restores" `Quick
+      (Knobs.resuming whatif_query_restores);
     Alcotest.test_case "run_batch orders results" `Quick
       run_batch_orders_results;
     Alcotest.test_case "server loopback" `Quick server_loopback;
     Alcotest.test_case "server shutdown stops" `Quick server_shutdown_stops;
-    Alcotest.test_case "reload swaps snapshot" `Quick reload_swaps_snapshot;
+    Alcotest.test_case "reload swaps snapshot" `Quick
+      (Knobs.resuming reload_swaps_snapshot);
     Alcotest.test_case "churn apply publishes" `Quick churn_apply_publishes;
     Alcotest.test_case "client disconnect keeps serving" `Quick
       client_disconnect_keeps_serving;

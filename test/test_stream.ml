@@ -271,13 +271,14 @@ let warm_matches_cold () =
   in
   let prop (g, seed) =
     let run mode =
+      Knobs.with_warm mode @@ fun () ->
       let m = Qrmodel.initial g in
       let stream = Streamgen.mixed ~events:24 m (Random.State.make [| seed |]) in
-      let _, report = Replay.run ~mode m stream in
+      let _, report = Replay.run m stream in
       report
     in
-    let warm = run Simulator.Warm.On in
-    let cold = run Simulator.Warm.Off in
+    let warm = run Simulator.Runtime.Warm_mode.On in
+    let cold = run Simulator.Runtime.Warm_mode.Off in
     warm.Replay.fingerprint = cold.Replay.fingerprint
     && warm.Replay.quarantine = [] && cold.Replay.quarantine = []
   in
@@ -287,18 +288,23 @@ let warm_matches_cold () =
 let verify_mode_agrees () =
   let m = model () in
   let stream = Streamgen.mixed ~events:32 m (Random.State.make [| 5 |]) in
-  let _, report = Replay.run ~mode:Simulator.Warm.Verify m stream in
-  check_int "no warm/cold divergence" 0 report.Replay.divergences;
+  let verified0 = Obs.Metrics.find_counter "warm.verified" in
+  let divergences0 = Obs.Metrics.find_counter "warm.divergences" in
+  let _, report =
+    Knobs.with_warm Simulator.Runtime.Warm_mode.Verify (fun () ->
+        Replay.run m stream)
+  in
+  check_bool "resumes verified" true
+    (Obs.Metrics.find_counter "warm.verified" > verified0);
+  check_int "no warm/cold divergence" divergences0
+    (Obs.Metrics.find_counter "warm.divergences");
   check_int "no quarantine" 0 (List.length report.Replay.quarantine)
 
 let transient_faults_recover () =
-  let ambient = Simulator.Faultinject.current () in
-  Simulator.Faultinject.set
+  Knobs.with_faults
     (Some
-       { Simulator.Faultinject.rate = 0.08; seed = 42;
-         scope = Simulator.Faultinject.Transient });
-  Fun.protect
-    ~finally:(fun () -> Simulator.Faultinject.set ambient)
+       { Simulator.Runtime.Fault.rate = 0.08; seed = 42;
+         scope = Simulator.Runtime.Fault.Transient })
     (fun () ->
       let m = model () in
       let stream = Streamgen.flap_storm m (Random.State.make [| 9 |]) in
@@ -314,26 +320,58 @@ let transient_faults_recover () =
         =
         let m = model () in
         let stream = Streamgen.flap_storm m (Random.State.make [| 9 |]) in
-        Simulator.Faultinject.set None;
+        Simulator.Runtime.set_faults None;
         let _, clean = Replay.run m stream in
         clean.Replay.fingerprint))
 
 let full_faults_quarantine_not_fatal () =
   (* Permanent failures and shrunk budgets: the replay must complete,
      reporting the damage as quarantine instead of raising. *)
-  let ambient = Simulator.Faultinject.current () in
-  Simulator.Faultinject.set
+  Knobs.with_faults
     (Some
-       { Simulator.Faultinject.rate = 0.10; seed = 7;
-         scope = Simulator.Faultinject.Full });
-  Fun.protect
-    ~finally:(fun () -> Simulator.Faultinject.set ambient)
+       { Simulator.Runtime.Fault.rate = 0.10; seed = 7;
+         scope = Simulator.Runtime.Fault.Full })
     (fun () ->
       let m = model () in
       let stream = Streamgen.mixed ~events:24 m (Random.State.make [| 3 |]) in
       let _, report = Replay.run m stream in
       check_bool "replay completed" true
         (report.Replay.events = List.length stream))
+
+(* RD_CHECK set through Runtime alone (no refine anywhere) must arm the
+   audit for a replay: its own mutations are clean, and a mutation made
+   inside a pool batch on the replayed net is recorded. *)
+let replay_audited_via_runtime () =
+  let module Runtime = Simulator.Runtime in
+  let module Ownership = Analysis.Ownership in
+  let prior = Runtime.current () in
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.set prior;
+      Ownership.ensure ();
+      Ownership.reset ())
+    (fun () ->
+      Runtime.set_check Runtime.Check_mode.On;
+      Ownership.ensure ();
+      Ownership.reset ();
+      let m = model () in
+      let stream = Streamgen.mixed ~events:24 m (Random.State.make [| 11 |]) in
+      let _, report = Replay.run m stream in
+      check_bool "replay completed" true
+        (report.Replay.events = List.length stream);
+      check_int "clean replay records nothing" 0
+        (Ownership.violation_count ());
+      let net = m.Qrmodel.net in
+      let a = List.hd (Net.nodes_of_as net 1) in
+      let s, _peer = List.hd (Net.sessions_of net a) in
+      ignore
+        (Simulator.Pool.map ~jobs:1
+           (fun () -> Net.deny_export net a s (Asn.origin_prefix 1))
+           [ () ]);
+      check_bool "in-batch mutation recorded" true
+        (List.exists
+           (fun v -> v.Ownership.in_batch)
+           (Ownership.violations ())))
 
 (* -- fuzz ------------------------------------------------------------- *)
 
@@ -451,6 +489,8 @@ let suite =
     Alcotest.test_case "MOAS hijack classifies" `Quick moas_hijack_classifies;
     Alcotest.test_case "warm matches cold" `Quick warm_matches_cold;
     Alcotest.test_case "verify mode agrees" `Quick verify_mode_agrees;
+    Alcotest.test_case "RD_CHECK via Runtime audits replay" `Quick
+      replay_audited_via_runtime;
     Alcotest.test_case "transient faults recover" `Quick
       transient_faults_recover;
     Alcotest.test_case "full faults quarantine not fatal" `Quick

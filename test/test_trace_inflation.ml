@@ -1,10 +1,10 @@
-(* Tests for propagation trees (Simulator.Trace) and path inflation
+(* Tests for propagation trees (Simulator.Forest) and path inflation
    (Topology.Inflation). *)
 
 open Bgp
 module Net = Simulator.Net
 module Engine = Simulator.Engine
-module Trace = Simulator.Trace
+module Forest = Simulator.Forest
 
 let check_bool = Alcotest.(check bool)
 
@@ -26,19 +26,19 @@ let line_state () =
 
 let tree_structure () =
   let net, nodes, st = line_state () in
-  let t = Trace.tree net st in
-  check_bool "root is originator" true (t.Trace.roots = [ nodes.(3) ]);
-  check_bool "no unrouted" true (t.Trace.unrouted = []);
+  let t = Forest.tree net st in
+  check_bool "root is originator" true (t.Forest.roots = [ nodes.(3) ]);
+  check_bool "no unrouted" true (t.Forest.unrouted = []);
   check_bool "parent chain" true
-    (t.Trace.parent.(nodes.(0)) = Some nodes.(1)
-    && t.Trace.parent.(nodes.(1)) = Some nodes.(2)
-    && t.Trace.parent.(nodes.(2)) = Some nodes.(3)
-    && t.Trace.parent.(nodes.(3)) = None);
-  check_int "depth of end" 3 (Trace.depth t nodes.(0));
-  check_int "depth of root" 0 (Trace.depth t nodes.(3));
-  check_int "cone of node 2" 3 (Trace.subtree_size t nodes.(2));
+    (t.Forest.parent.(nodes.(0)) = Some nodes.(1)
+    && t.Forest.parent.(nodes.(1)) = Some nodes.(2)
+    && t.Forest.parent.(nodes.(2)) = Some nodes.(3)
+    && t.Forest.parent.(nodes.(3)) = None);
+  check_int "depth of end" 3 (Forest.depth t nodes.(0));
+  check_int "depth of root" 0 (Forest.depth t nodes.(3));
+  check_int "cone of node 2" 3 (Forest.subtree_size t nodes.(2));
   check_bool "depth histogram" true
-    (Trace.depth_histogram t = [ (0, 1); (1, 1); (2, 1); (3, 1) ])
+    (Forest.depth_histogram t = [ (0, 1); (1, 1); (2, 1); (3, 1) ])
 
 let tree_with_unrouted () =
   let net = Net.create () in
@@ -48,13 +48,13 @@ let tree_with_unrouted () =
   ignore (Net.connect net a b);
   ignore c (* isolated *);
   let st = Engine.simulate net ~prefix:p6 ~originators:[ a ] in
-  let t = Trace.tree net st in
-  check_bool "c unrouted" true (List.mem c t.Trace.unrouted);
-  check_bool "b child of a" true (t.Trace.parent.(b) = Some a)
+  let t = Forest.tree net st in
+  check_bool "c unrouted" true (List.mem c t.Forest.unrouted);
+  check_bool "b child of a" true (t.Forest.parent.(b) = Some a)
 
 let pp_route_format () =
   let net, nodes, st = line_state () in
-  let s = Format.asprintf "%a" (Trace.pp_route net st) nodes.(0) in
+  let s = Format.asprintf "%a" (Forest.pp_route net st) nodes.(0) in
   check_bool "mentions all hops" true
     (List.for_all
        (fun frag ->

@@ -1,13 +1,14 @@
 (* Tests for warm-start re-simulation: Net change tracking,
    Engine.simulate ?from equivalence with cold runs (hand-built and
-   randomized), AS-path interning, and the refiner under each RD_WARM
-   mode. *)
+   randomized), AS-path interning, the engine's reading of RD_WARM, and
+   the refiner under each mode. *)
 
 open Bgp
 module Net = Simulator.Net
 module Engine = Simulator.Engine
 module Intern = Simulator.Intern
-module Warm = Simulator.Warm
+module Warm_mode = Simulator.Runtime.Warm_mode
+module Pool = Simulator.Pool
 module Qrmodel = Asmodel.Qrmodel
 module Refiner = Refine.Refiner
 
@@ -312,18 +313,66 @@ let fig5_training =
   Rib.of_entries
     [ entry 1 3 [ 1; 2; 3 ]; entry 1 4 [ 1; 4 ]; entry 1 4 [ 1; 5; 4 ] ]
 
+(* -- the engine owns the warm mode -- *)
+
+let engine_reads_warm_mode () =
+  let m = Qrmodel.initial diamond_graph in
+  let net = m.Qrmodel.net in
+  let prev = Qrmodel.simulate m p in
+  Net.clear_touched net p;
+  let n1 = List.hd (Net.nodes_of_as net 1) in
+  let n4 = List.hd (Net.nodes_of_as net 4) in
+  (match Net.find_session net n4 n1 with
+  | Some s41 -> Net.deny_export net n4 s41 p
+  | None -> Alcotest.fail "no session 4-1");
+  let cold = Qrmodel.simulate m p in
+  let counter = Obs.Metrics.find_counter in
+  let resume mode =
+    Knobs.with_warm mode (fun () ->
+        let hits = counter "engine.warm_resume_hits" in
+        let misses = counter "engine.warm_resume_misses" in
+        let verified = counter "warm.verified" in
+        let st = Qrmodel.simulate m ~from:prev p in
+        ( st,
+          counter "engine.warm_resume_hits" - hits,
+          counter "engine.warm_resume_misses" - misses,
+          counter "warm.verified" - verified ))
+  in
+  let off, off_hits, off_misses, _ = resume Warm_mode.Off in
+  check_bool "off: cold run" false (Engine.resumed off);
+  check_int "off: no hit" 0 off_hits;
+  check_int "off: no miss" 0 off_misses;
+  check_equivalent "off" cold off;
+  let on, on_hits, _, on_verified = resume Warm_mode.On in
+  check_bool "on: resumed" true (Engine.resumed on);
+  check_int "on: one hit" 1 on_hits;
+  check_int "on: nothing verified" 0 on_verified;
+  check_equivalent "on" cold on;
+  let divergences = counter "warm.divergences" in
+  let ver, ver_hits, ver_misses, ver_verified = resume Warm_mode.Verify in
+  check_bool "verify: warm state returned" true (Engine.resumed ver);
+  check_int "verify: cold re-run is not a hit" 1 ver_hits;
+  check_int "verify: cold re-run is not a miss" 0 ver_misses;
+  check_int "verify: one comparison" 1 ver_verified;
+  check_int "verify: no divergence" divergences (counter "warm.divergences");
+  check_int "verify: warm event count" (Engine.events on) (Engine.events ver);
+  (* Pool batches count the resumes they returned. *)
+  let _, stats =
+    Knobs.with_warm Warm_mode.On (fun () ->
+        Pool.simulate ~jobs:1
+          ~sim:(fun q -> Qrmodel.simulate m ~from:prev q)
+          [ p; Asn.origin_prefix 3 ])
+  in
+  check_int "pool: one of two resumed" 1 stats.Pool.resumed
+
 let refine_in mode =
-  let prior = Warm.current () in
-  Warm.set mode;
-  Fun.protect
-    ~finally:(fun () -> Warm.set prior)
-    (fun () ->
+  Knobs.with_warm mode (fun () ->
       let m = Qrmodel.initial diamond_graph in
       Refiner.refine m ~training:fig5_training)
 
 let refiner_mode_equivalence () =
-  let off = refine_in Warm.Off in
-  let on = refine_in Warm.On in
+  let off = refine_in Warm_mode.Off in
+  let on = refine_in Warm_mode.On in
   check_bool "off converged" true off.Refiner.converged;
   check_bool "on converged" true on.Refiner.converged;
   check_int "same matched" off.Refiner.matched on.Refiner.matched;
@@ -341,13 +390,16 @@ let refiner_mode_equivalence () =
     off.Refiner.states
 
 let refiner_verify_clean () =
-  Warm.reset_stats ();
-  let r = refine_in Warm.Verify in
+  let verified = Obs.Metrics.find_counter "warm.verified" in
+  let divergences = Obs.Metrics.find_counter "warm.divergences" in
+  let r = refine_in Warm_mode.Verify in
   check_bool "verify converged" true r.Refiner.converged;
-  let s = Warm.stats () in
-  check_bool "some pairs compared" true (s.Warm.verified > 0);
-  check_int "zero divergences" 0 s.Warm.divergences;
-  Warm.reset_stats ()
+  check_bool "some pairs compared" true
+    (Obs.Metrics.find_counter "warm.verified" > verified);
+  check_int "zero divergences" divergences
+    (Obs.Metrics.find_counter "warm.divergences");
+  check_bool "resumes counted by the pool" true
+    (r.Refiner.pool.Pool.resumed > 0)
 
 let suite =
   [
@@ -357,11 +409,16 @@ let suite =
       resume_after_policy_change;
     Alcotest.test_case "resume after filter removal" `Quick
       resume_after_filter_removal;
-    Alcotest.test_case "no-op resume is free" `Quick resume_noop_is_free;
-    Alcotest.test_case "warm locality on a chain" `Quick warm_locality;
-    Alcotest.test_case "resumable guards" `Quick resumable_guards;
+    Alcotest.test_case "no-op resume is free" `Quick
+      (Knobs.resuming resume_noop_is_free);
+    Alcotest.test_case "warm locality on a chain" `Quick
+      (Knobs.resuming warm_locality);
+    Alcotest.test_case "resumable guards" `Quick
+      (Knobs.resuming resumable_guards);
     Alcotest.test_case "path interning" `Quick interning;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    Alcotest.test_case "engine reads the warm mode" `Quick
+      engine_reads_warm_mode;
     Alcotest.test_case "refiner mode equivalence" `Quick
       refiner_mode_equivalence;
     Alcotest.test_case "refiner verify is clean" `Quick refiner_verify_clean;
