@@ -175,10 +175,11 @@ let metrics_arg =
         ~doc:"Print a snapshot of every runtime metric after the run.")
 
 (* End-of-run observability output: the metrics snapshot (with
-   [--metrics], or whenever spans are being summarised) and the trace
-   summary table / trace-file write. *)
+   [--metrics], or whenever spans are being summarised, after sampling
+   the [gc.*] gauges) and the trace summary table / trace-file write. *)
 let finish_obs ?(metrics = false) () =
   if metrics || Runtime.trace () = Obs.Trace.Summary then begin
+    Obs.Metrics.record_gc ();
     Evaluation.Report.section std "OBS" "metrics snapshot";
     Format.printf "%a@." Obs.Metrics.pp_snapshot (Obs.Metrics.snapshot ())
   end;

@@ -4,6 +4,21 @@ module Engine = Simulator.Engine
 
 type snapshot = (Prefix.t * (Asn.t * int array list) list) list
 
+(* One prefix's row: every AS with a route and its selected paths.
+   [same asn] is [Some entry] when the AS's paths are known unchanged
+   from an earlier row, whose entry for it ([None]: no route) is then
+   reused instead of re-derived. *)
+let row ?(same = fun _ -> None) (model : Qrmodel.t) ases st =
+  List.filter_map
+    (fun asn ->
+      let paths =
+        match same asn with
+        | Some entry -> Option.value ~default:[] entry
+        | None -> Engine.selected_paths model.Qrmodel.net st asn
+      in
+      match paths with [] -> None | paths -> Some (asn, paths))
+    ases
+
 let snapshot ?prefixes ?on_prefix (model : Qrmodel.t) =
   let prefixes =
     match prefixes with
@@ -14,32 +29,41 @@ let snapshot ?prefixes ?on_prefix (model : Qrmodel.t) =
   let total = List.length prefixes in
   List.mapi
     (fun i p ->
-      let st = Qrmodel.simulate model p in
-      let per_as =
-        List.filter_map
-          (fun asn ->
-            match Engine.selected_paths model.Qrmodel.net st asn with
-            | [] -> None
-            | paths -> Some (asn, paths))
-          ases
-      in
+      let per_as = row model ases (Qrmodel.simulate model p) in
       (match on_prefix with Some f -> f (i + 1) total | None -> ());
       (p, per_as))
     prefixes
 
-let of_states (model : Qrmodel.t) states =
+let of_states ?prev (model : Qrmodel.t) states =
   let ases = Topology.Asgraph.nodes model.Qrmodel.graph in
+  let earlier =
+    match prev with
+    | None -> fun _ -> None
+    | Some (prev_states, prev_snapshot) ->
+        let olds = Prefix.Table.create 64 and rows = Prefix.Table.create 64 in
+        List.iter (fun (p, st) -> Prefix.Table.replace olds p st) prev_states;
+        List.iter (fun (p, r) -> Prefix.Table.replace rows p r) prev_snapshot;
+        fun p ->
+          match (Prefix.Table.find_opt olds p, Prefix.Table.find_opt rows p) with
+          | Some old, Some r -> Some (old, r)
+          | _ -> None
+  in
+  (* An unchanged state keeps its whole row; otherwise an AS whose
+     nodes all kept physically the same best route keeps its entry. *)
   List.map
     (fun (p, st) ->
-      let per_as =
-        List.filter_map
-          (fun asn ->
-            match Engine.selected_paths model.Qrmodel.net st asn with
-            | [] -> None
-            | paths -> Some (asn, paths))
-          ases
-      in
-      (p, per_as))
+      match earlier p with
+      | Some (old, r) when old == st -> (p, r)
+      | Some (old, r) ->
+          let entries = Hashtbl.create 64 in
+          List.iter (fun (asn, paths) -> Hashtbl.replace entries asn paths) r;
+          let same asn =
+            if Engine.same_selected model.Qrmodel.net old st asn then
+              Some (Hashtbl.find_opt entries asn)
+            else None
+          in
+          (p, row ~same model ases st)
+      | None -> (p, row model ases st))
     states
 
 let sessions_between (model : Qrmodel.t) a b =

@@ -19,9 +19,16 @@ val snapshot :
     each AS's set of selected full paths. *)
 
 val of_states :
-  Qrmodel.t -> (Prefix.t * Simulator.Engine.state) list -> snapshot
+  ?prev:(Prefix.t * Simulator.Engine.state) list * snapshot ->
+  Qrmodel.t ->
+  (Prefix.t * Simulator.Engine.state) list ->
+  snapshot
 (** Build a snapshot from already-converged states — the serve layer's
-    path: it caches per-prefix states and must not re-simulate. *)
+    path: it caches per-prefix states and must not re-simulate.
+    [prev] is an earlier call's states and result on the same model: a
+    prefix whose state is physically the one in [prev] keeps its
+    earlier row, and in any other row an AS keeps its earlier entry
+    when {!Simulator.Engine.same_selected} holds for it. *)
 
 val disable_as_link :
   ?prefixes:Prefix.t list -> Qrmodel.t -> Asn.t -> Asn.t -> int

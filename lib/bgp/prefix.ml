@@ -59,10 +59,14 @@ end
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
 
+(* [hash] keeps the network's low bits, which are zero for every prefix
+   of /24 or shorter, while a [Hashtbl] picks buckets by the low bits:
+   the table mixes the hash first, or its prefixes share a few long
+   chains. *)
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
 
-  let hash = hash
+  let hash p = Hashtbl.hash (hash p)
 end)

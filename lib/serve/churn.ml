@@ -64,8 +64,8 @@ let apply ?jobs store events =
               Replay.report rp ~rejected:(List.length rejects)
             with
             | report ->
-                ( Snapshot.of_states ~replay:(Replay.persist rp) model
-                    (Replay.states rp),
+                ( Snapshot.of_states ~replay:(Replay.persist rp) ~prev:snap
+                    model (Replay.states rp),
                   report )
             | exception exn ->
                 (* The old snapshot stays published: undo the denies

@@ -106,7 +106,11 @@ let eval_whatif ?jobs snap a b =
             in
             let resume_hits = stats.Pool.resumed in
             Obs.Metrics.incr ~by:resume_hits whatif_resume_hits_m;
-            let after = Whatif.of_states model states in
+            let after =
+              Whatif.of_states
+                ~prev:(Snapshot.states snap, Snapshot.baseline snap)
+                model states
+            in
             let d = Whatif.diff (Snapshot.baseline snap) after in
             let changes =
               List.filteri (fun i _ -> i < 20) d.Whatif.changes

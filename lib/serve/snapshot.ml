@@ -72,8 +72,14 @@ type t = {
   exec : exec;
 }
 
-let of_states ?(build_stats = Pool.zero) ?replay (model : Qrmodel.t) states =
-  let baseline = Whatif.of_states model states in
+let of_states ?(build_stats = Pool.zero) ?replay ?prev (model : Qrmodel.t)
+    states =
+  let prev =
+    match prev with
+    | Some t when t.model == model -> Some (t.states, t.baseline)
+    | _ -> None
+  in
+  let baseline = Whatif.of_states ?prev model states in
   let by_prefix = Hashtbl.create (max 16 (List.length states)) in
   List.iter (fun (p, st) -> Hashtbl.replace by_prefix p st) states;
   {

@@ -27,6 +27,7 @@ val build : ?jobs:int -> Asmodel.Qrmodel.t -> t
 val of_states :
   ?build_stats:Simulator.Pool.stats ->
   ?replay:Stream.Replay.persist ->
+  ?prev:t ->
   Asmodel.Qrmodel.t ->
   (Bgp.Prefix.t * Simulator.Engine.state) list ->
   t
@@ -36,7 +37,9 @@ val of_states :
     The state list may extend beyond the model's prefixes (announced /
     hijacked extras).  [replay] is the driver state the replay ended
     with; the next {!Churn.apply} resumes from it so down/up pairs may
-    span apply calls. *)
+    span apply calls.  [prev], a snapshot of the same model, lends its
+    baseline rows ({!Asmodel.Whatif.of_states}), so a churn apply
+    re-derives only what it reconverged. *)
 
 val rebuild : ?jobs:int -> t -> t
 (** Reconverge every cached prefix {e warm} from this snapshot's

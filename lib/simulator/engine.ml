@@ -30,7 +30,17 @@ type state = {
   resumed : bool;  (* seeded from a previous state, not from scratch *)
   mutable outcome : outcome;
   mutable events : int;
+  mutable fp : int;
+      (* memoised {!state_fingerprint}, [fp_unset] until first asked.
+         A state is frozen once [exec] returns, so the memo never goes
+         stale; each constructor starts it unset. *)
 }
+
+(* If a real fingerprint equals the sentinel it is simply recomputed on
+   every call — correct, only slower.  A plain int rather than [Lazy]:
+   forcing one lazy value from two domains at once raises, while two
+   domains racing to store the same int is harmless. *)
+let fp_unset = min_int
 
 (* Metrics are flushed once per run from locally accumulated counts —
    never touched per event — so the instrumented engine is the
@@ -46,6 +56,8 @@ let fingerprints_m = Obs.Metrics.counter "engine.watchdog_fingerprints"
 let truncated_m = Obs.Metrics.counter "engine.truncated"
 
 let diverged_m = Obs.Metrics.counter "engine.diverged"
+
+let state_fingerprints_m = Obs.Metrics.counter "engine.state_fingerprints"
 
 let resume_hits_m = Obs.Metrics.counter "engine.warm_resume_hits"
 
@@ -108,19 +120,47 @@ let fold_candidates st net n ~init ~f =
 let candidates st net n =
   List.rev (fold_candidates st net n ~init:[] ~f:(fun acc r -> r :: acc))
 
-let mix_route mix (r : Rattr.t) =
+(* [Hashtbl.hash] of the [learned] constructors and of the small
+   [learned_class] values, precomputed: the fingerprint kernel mixes
+   both for every route. *)
+let learned_hash =
+  let h l = Hashtbl.hash (l : Rattr.learned) in
+  [| h Rattr.Originated; h Rattr.From_ebgp; h Rattr.From_ibgp |]
+
+let learned_index : Rattr.learned -> int = function
+  | Rattr.Originated -> 0
+  | Rattr.From_ebgp -> 1
+  | Rattr.From_ibgp -> 2
+
+let class_hashes = Array.init 66 (fun i -> Hashtbl.hash (i - 1))
+
+let class_hash c =
+  if c >= -1 && c < 65 then class_hashes.(c + 1) else Hashtbl.hash c
+
+(* Mix one route into the running hash [h].  Paths are folded inline
+   ({!Intern.fold_path_hash}): equal to the memoised {!Intern.path_hash}
+   without its per-domain table probe. *)
+let mix_route h (r : Rattr.t) =
+  let mix h x = (h * 1000003) lxor (x land max_int) in
   if Rattr.is_route r then begin
-    mix (Intern.path_hash r.Rattr.path);
-    mix r.Rattr.lpref;
-    mix r.Rattr.med;
-    mix r.Rattr.igp;
-    mix r.Rattr.from_node;
-    mix r.Rattr.from_ip;
-    mix r.Rattr.from_session;
-    mix (Hashtbl.hash r.Rattr.learned);
-    mix (Hashtbl.hash r.Rattr.learned_class)
+    let h = mix h (Intern.fold_path_hash r.Rattr.path) in
+    let h = mix h r.Rattr.lpref in
+    let h = mix h r.Rattr.med in
+    let h = mix h r.Rattr.igp in
+    let h = mix h r.Rattr.from_node in
+    let h = mix h r.Rattr.from_ip in
+    let h = mix h r.Rattr.from_session in
+    let h = mix h learned_hash.(learned_index r.Rattr.learned) in
+    mix h (class_hash r.Rattr.learned_class)
   end
-  else mix 0x5bd1e995
+  else mix h 0x5bd1e995
+
+let mix_routes h routes =
+  let h = ref h in
+  for i = 0 to Array.length routes - 1 do
+    h := mix_route !h (Array.unsafe_get routes i)
+  done;
+  !h
 
 (* Full-state fingerprint for the oscillation watchdog.  The transition
    function is deterministic, so an exact repeat of (RIBs, best routes,
@@ -128,29 +168,30 @@ let mix_route mix (r : Rattr.t) =
    cycle.  [Hashtbl.hash] alone would be unsound here — it truncates
    deep/wide structures such as long AS-paths — so every route is
    folded field by field into a polynomial hash over the full
-   native-int range, with paths contributing their (memoized) full-width
-   content hash ({!Intern.path_hash}).  The slab is mixed in linear
-   order, which is the reference engine's node-major slot order — the
-   two implementations fingerprint identically by construction. *)
+   native-int range, paths included element by element.  The slab is
+   mixed in linear order, which is the reference engine's node-major
+   slot order — the two implementations fingerprint identically by
+   construction. *)
 let fingerprint st iter_queue queued =
-  let h = ref 0x42 in
+  let h = ref (mix_routes (mix_routes 0x42 st.best) st.slab) in
   let mix x = h := (!h * 1000003) lxor (x land max_int) in
-  Array.iter (fun r -> mix_route mix r) st.best;
-  Array.iter (fun r -> mix_route mix r) st.slab;
   iter_queue (fun u -> mix (u + 0x9e3779b9));
   Array.iter (fun q -> mix (Bool.to_int q)) queued;
   !h
 
 (* Routing-content fingerprint (no queue): what warm-vs-cold
-   verification compares.  Identical final best routes and RIB-Ins give
-   identical fingerprints regardless of how the fixed point was
-   reached. *)
+   verification and churn reports compare.  Identical final best routes
+   and RIB-Ins give identical fingerprints regardless of how the fixed
+   point was reached.  Computed at most once per state (see [fp]). *)
 let state_fingerprint st =
-  let h = ref 0x42 in
-  let mix x = h := (!h * 1000003) lxor (x land max_int) in
-  Array.iter (fun r -> mix_route mix r) st.best;
-  Array.iter (fun r -> mix_route mix r) st.slab;
-  !h
+  let fp = st.fp in
+  if fp <> fp_unset then fp
+  else begin
+    let fp = mix_routes (mix_routes 0x42 st.best) st.slab in
+    Obs.Metrics.incr state_fingerprints_m;
+    st.fp <- fp;
+    fp
+  end
 
 let same_state a b =
   a.pfx = b.pfx && a.nodes = b.nodes
@@ -224,23 +265,19 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
   let slab = st.slab in
   let med_default = Net.default_med net in
   let nslots = Array.length slab in
-  (* Per-run flattening of the per-prefix policy tables and the export
-     matrix: one hash lookup (or closure call) per slot/class pair at
-     run start instead of one per advertisement.  The net is frozen
-     while a simulation runs (mutation discipline), so these snapshots
-     cannot go stale mid-run. *)
+  (* Per-run flattening of this prefix's policy rules and of the export
+     matrix: the prefix's sparse rows are written into slot-indexed
+     arrays at run start, costing one write per rule, instead of one
+     lookup per advertisement.  The net is frozen while a simulation
+     runs (mutation discipline), so these snapshots cannot go stale
+     mid-run. *)
   let deny = Array.make nslots false in
   let med_in = Array.make nslots min_int in
   let lpref_for = Array.make nslots min_int in
-  for k = 0 to nslots - 1 do
-    if Net.Csr.slot_export_denied c k st.pfx then deny.(k) <- true;
-    (match Net.Csr.slot_med c k st.pfx with
-    | Some v -> med_in.(k) <- v
-    | None -> ());
-    match Net.Csr.slot_import_lpref_for c k st.pfx with
-    | Some v -> lpref_for.(k) <- v
-    | None -> ()
-  done;
+  Net.iter_prefix_rules net st.pfx
+    ~deny:(fun u s -> deny.(off.(u) + s) <- true)
+    ~med:(fun u s v -> med_in.(off.(u) + s) <- v)
+    ~lpref:(fun u s v -> lpref_for.(off.(u) + s) <- v);
   (* Session classes (and hence learned classes, which are session
      classes or -1 for originated routes) are small non-negative ints,
      so the export matrix collapses to a dense boolean table. *)
@@ -372,12 +409,24 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
   (* Re-export node [u]'s current best over every slot, importing at
      each peer's mirror slot and enqueueing peers whose RIB-In changed.
      The export and import decisions of the reference engine, fused:
-     the advertisement either dies (sentinel) or becomes one interned
-     route written straight into the peer's slab slot. *)
+     the advertisement either dies (sentinel) or becomes one route
+     written straight into the peer's slab slot.  The eBGP path is
+     prepended once per call and shared by every slot it reaches.  It
+     is a fresh array, not {!Intern.prepend}'s canonical one: on large
+     worlds the domain's prepend table outgrows the caches — a probe
+     measured ~0.8 us on the 1.5k-AS §SCALE world (2-core x86 host),
+     against a few ns for the allocation — and equality never depended
+     on interning ({!Rattr.same_path}). *)
   let push_exports u best' =
     let has = Rattr.is_route best' in
     let ebgp_path =
-      if has then Intern.prepend ~own_as:asns.(u) best'.Rattr.path else [||]
+      if not has then [||]
+      else
+        let path = best'.Rattr.path in
+        let len = Array.length path in
+        let out = Array.make (len + 1) asns.(u) in
+        Array.blit path 0 out 1 len;
+        out
     in
     let own_ip = ips.(u) in
     let base = off.(u) in
@@ -397,14 +446,13 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
        cold-convergence imports almost never recur, so an
        {!Intern.rattr} probe per write costs 20-35% throughput while
        the table only retains garbage.  Sharing where reuse is real
-       comes from {!Intern.prepend} (paths) and the interned
-       originated routes. *)
+       comes from the interned originated routes. *)
     let store kr p path lpref med igp learned =
       let cur = slab.(kr) in
       if
         Rattr.is_route cur
         && cur.Rattr.from_node = u
-        && (cur.Rattr.path == path || cur.Rattr.path = path)
+        && Rattr.same_path cur.Rattr.path path
         && cur.Rattr.lpref = lpref
         && cur.Rattr.med = med
         && cur.Rattr.igp = igp
@@ -592,6 +640,7 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
       resumed = false;
       outcome = Converged;
       events = 0;
+      fp = fp_unset;
     }
   in
   List.iter (fun o -> st.originates.(o) <- true) originators;
@@ -625,6 +674,7 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
       resumed = true;
       outcome = Converged;
       events = 0;
+      fp = fp_unset;
     }
   in
   let n = st.nodes in
@@ -708,6 +758,13 @@ let best_full_path net st n =
   match best st n with
   | None -> None
   | Some r -> Some (Rattr.full_path ~own_as:(Net.asn_of net n) r)
+
+(* Physical, not structural: a warm resume copies the previous best
+   array, so a node its replay never touched keeps the very same
+   record. *)
+let same_selected net a b asn =
+  let raw st n = if n >= st.nodes then Rattr.no_route else st.best.(n) in
+  List.for_all (fun n -> raw a n == raw b n) (Net.nodes_of_as net asn)
 
 let selected_paths net st asn =
   let paths =

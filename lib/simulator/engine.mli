@@ -142,3 +142,11 @@ val selected_paths : Net.t -> state -> Asn.t -> int array list
 (** All distinct full paths selected by the nodes of an AS (what the AS
     as a whole propagates — the model's answer to "which routes does
     this AS use for this prefix"). *)
+
+val same_selected : Net.t -> state -> state -> Asn.t -> bool
+(** [same_selected net a b asn]: every node of [asn] holds physically
+    the same best route (or no route) in both states, so
+    [selected_paths net a asn = selected_paths net b asn] without
+    computing either.  True for every AS a warm resume of [a] into [b]
+    left alone; [false] says nothing (equal routes may be distinct
+    records). *)

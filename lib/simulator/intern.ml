@@ -1,13 +1,14 @@
 (* Domain-local hash-consing of AS-path arrays.
 
-   Per-prefix simulation creates the same few hundred distinct AS paths
-   over and over (one prepend per best change, re-imported at every
-   peer), and every downstream consumer — RIB-In update suppression,
-   the refiner's suffix matching, the oscillation watchdog — compares
-   them structurally.  Interning maps each path to one canonical array
-   so that (a) repeated prepends of the same best route allocate
-   nothing, and (b) comparisons can take a physical-equality fast path
-   before falling back to structural equality.
+   Per-prefix simulation creates the same distinct AS paths over and
+   over (one prepend per best change, re-imported at every peer), and
+   consumers compare them structurally.  Interning maps each path to
+   one canonical array so that (a) repeated prepends of the same best
+   route allocate nothing, and (b) comparisons can take a
+   physical-equality fast path before falling back to structural
+   equality.  The flat engine no longer prepends through here (see
+   Engine.push_exports): on large worlds the table outgrows the caches
+   and a probe costs more than the allocation it saves.
 
    Domain safety: the tables live in [Domain.DLS], so worker domains of
    {!Pool} never share mutable state and need no locks.  Canonical

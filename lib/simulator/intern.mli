@@ -1,12 +1,14 @@
 (** Domain-local hash-consing of AS-path arrays.
 
-    The engine funnels every path it creates through this module so
-    that identical paths within a domain share one canonical array:
-    repeated eBGP prepends of the same best route allocate nothing, and
-    path comparisons can try physical equality before structural
-    equality.  Tables live in [Domain.DLS] — no locks, no sharing
-    between {!Pool} workers — so canonical identity is per-domain and
-    callers must always keep a structural fallback. *)
+    Callers that meet the same paths over and over intern them so that
+    identical paths within a domain share one canonical array: repeated
+    prepends of the same path allocate nothing, and path comparisons
+    can try physical equality before structural equality.  Tables live
+    in [Domain.DLS] — no locks, no sharing between {!Pool} workers — so
+    canonical identity is per-domain and callers must always keep a
+    structural fallback.  The engine interns only originated routes
+    ({!rattr}): once a table outgrows the caches a probe costs more
+    than allocating the path. *)
 
 val path : int array -> int array
 (** [path p] is the canonical array equal to [p] in the current domain
@@ -14,9 +16,13 @@ val path : int array -> int array
 
 val prepend : own_as:int -> int array -> int array
 (** [prepend ~own_as p] is the canonical array for [own_as] consed onto
-    [p] — the eBGP export prepend — memoized per [(own_as, p)], so the
-    common case (re-exporting an unchanged best route) allocates
-    nothing. *)
+    [p] — the eBGP export prepend — memoized per [(own_as, p)], so
+    re-exporting an unchanged best route allocates nothing. *)
+
+val fold_path_hash : int array -> int
+(** The full-width polynomial hash over every element of a path,
+    computed afresh: [fold_path_hash p = path_hash p] for every [p].
+    Cheaper than {!path_hash} where each path is hashed once. *)
 
 val path_hash : int array -> int
 (** Full-width polynomial hash over {e every} element (unlike

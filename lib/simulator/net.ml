@@ -39,9 +39,6 @@ type session = {
   mutable lpref_in : int option;
   mutable carry_lpref : bool;
   mutable rr_client : bool;
-  med_in : int Prefix.Table.t;
-  lpref_in_pfx : int Prefix.Table.t;
-  deny_out : unit Prefix.Table.t;
 }
 
 type node = { asn : Asn.t; ip : Ipv4.t; sessions : session Vec.t }
@@ -51,11 +48,10 @@ type node = { asn : Asn.t; ip : Ipv4.t; sessions : session Vec.t }
    [c_off.(n) .. c_off.(n+1) - 1]); every other array is indexed by
    slot.  The index is immutable once built and keyed on the generation
    counter, so the engine's hot path walks flat int arrays instead of
-   chasing node records, session Vecs and option fields.  [c_sess]
-   keeps the session records themselves for per-prefix policy-table
-   lookups — those tables mutate in place without a generation bump, so
-   going through the record keeps the index valid across per-prefix
-   policy edits. *)
+   chasing node records, session Vecs and option fields.  Per-prefix
+   policies are not part of it: they live in the net's prefix-major
+   policy index, keyed by (node, session-local index), which survives
+   rebuilds. *)
 type csr = {
   c_gen : int;
   c_off : int array;
@@ -69,8 +65,30 @@ type csr = {
   c_rr : int array;  (* 0/1 *)
   c_asn : int array;  (* node -> ASN *)
   c_ip : int array;  (* node -> numeric router address *)
-  c_sess : session array;
 }
+
+(* Prefix-major policy index: per prefix, one sparse row per rule kind,
+   keyed by (node, session-local index) packed into one int.  Nodes and
+   sessions are append-only, so a key never changes meaning and the
+   rows stay valid across CSR rebuilds; a rule's CSR slot is
+   [off.(node) + session].  A simulation run of one prefix therefore
+   reads only that prefix's rules. *)
+module Rows = Hashtbl.Make (Int)
+
+type rows = {
+  med : int Rows.t;  (* per-prefix import MED *)
+  lpref : int Rows.t;  (* per-prefix import LOCAL_PREF *)
+  deny : unit Rows.t;  (* export filters *)
+}
+
+(* Session-local indexes below 2^24: far beyond any simulable degree. *)
+let key_bits = 24
+
+let rule_key n s = (n lsl key_bits) lor s
+
+let key_node k = k lsr key_bits
+
+let key_session k = k land ((1 lsl key_bits) - 1)
 
 type t = {
   uid : int;  (* process-unique; names the Obs.Probe shared objects *)
@@ -93,6 +111,7 @@ type t = {
      run replays. *)
   mutable generation : int;
   touched : (int, unit) Hashtbl.t Prefix.Table.t;
+  policy : rows Prefix.Table.t;
   (* Lazily built structural index, invalidated by generation mismatch.
      An [Atomic] because Pool workers may race to build it: the value is
      immutable and any winner is equivalent, so the race is benign. *)
@@ -108,9 +127,6 @@ let dummy_session =
     lpref_in = None;
     carry_lpref = false;
     rr_client = false;
-    med_in = Prefix.Table.create 1;
-    lpref_in_pfx = Prefix.Table.create 1;
-    deny_out = Prefix.Table.create 1;
   }
 
 let dummy_node =
@@ -135,6 +151,7 @@ let create () =
     nsessions = 0;
     generation = 0;
     touched = Prefix.Table.create 64;
+    policy = Prefix.Table.create 64;
     csr_cache = Atomic.make None;
   }
 
@@ -242,9 +259,6 @@ let fresh_session ~peer ~kind ~s_class =
     lpref_in = None;
     carry_lpref = false;
     rr_client = false;
-    med_in = Prefix.Table.create 4;
-    lpref_in_pfx = Prefix.Table.create 4;
-    deny_out = Prefix.Table.create 4;
   }
 
 let connect ?(kind = Ebgp) ?(class_ab = class_none) ?(class_ba = class_none) t
@@ -286,7 +300,6 @@ let build_csr t =
   let lpref = Array.make total min_int in
   let carry = Array.make total 0 in
   let rr = Array.make total 0 in
-  let sess = Array.make total dummy_session in
   let asn = Array.make n 0 in
   let ip = Array.make n 0 in
   for u = 0 to n - 1 do
@@ -309,8 +322,7 @@ let build_csr t =
         cls.(k) <- ss.s_class;
         (match ss.lpref_in with Some v -> lpref.(k) <- v | None -> ());
         if ss.carry_lpref then carry.(k) <- 1;
-        if ss.rr_client then rr.(k) <- 1;
-        sess.(k) <- ss)
+        if ss.rr_client then rr.(k) <- 1)
       nd.sessions
   done;
   {
@@ -326,7 +338,6 @@ let build_csr t =
     c_rr = rr;
     c_asn = asn;
     c_ip = ip;
-    c_sess = sess;
   }
 
 let csr t =
@@ -384,13 +395,6 @@ module Csr = struct
   let asns c = c.c_asn
 
   let ips c = c.c_ip
-
-  let slot_med c k p = Prefix.Table.find_opt c.c_sess.(k).med_in p
-
-  let slot_import_lpref_for c k p =
-    Prefix.Table.find_opt c.c_sess.(k).lpref_in_pfx p
-
-  let slot_export_denied c k p = Prefix.Table.mem c.c_sess.(k).deny_out p
 end
 
 let iter_sessions t n f =
@@ -442,8 +446,6 @@ let session_info t n s =
         si_rr_client = ss.rr_client;
       }
 
-let session_med t n s p = Prefix.Table.find_opt (session t n s).med_in p
-
 let session_peer t n s = (session t n s).peer
 
 let session_kind t n s = (session t n s).kind
@@ -473,94 +475,130 @@ let set_carry_lpref t n s v =
 
 let carry_lpref t n s = (session t n s).carry_lpref
 
+(* Per-prefix rules live in the prefix-major index.  Writers create a
+   prefix's rows on first use; readers of an unknown prefix see no
+   rules. *)
+let rows_of t p = Prefix.Table.find_opt t.policy p
+
+let rows_for t p =
+  match rows_of t p with
+  | Some r -> r
+  | None ->
+      let r =
+        { med = Rows.create 8; lpref = Rows.create 8; deny = Rows.create 8 }
+      in
+      Prefix.Table.add t.policy p r;
+      r
+
+let find_rule sel t n s p =
+  match rows_of t p with
+  | Some r -> Rows.find_opt (sel r) (rule_key n s)
+  | None -> None
+
+let remove_rule sel t n s p =
+  match rows_of t p with
+  | Some r -> Rows.remove (sel r) (rule_key n s)
+  | None -> ()
+
+let med_rows r = r.med
+
+let lpref_rows r = r.lpref
+
+let deny_rows r = r.deny
+
 (* Import-side policy changes are recorded against the *sender*: the
    receiver cannot re-derive the pre-policy advertisement from its
    RIB-In, so a warm restart replays the sending peer's exports and the
    import runs again under the new policy. *)
 let set_import_lpref_for t n s p v =
-  let ss = session t n s in
-  note_touched t p ss.peer;
-  Prefix.Table.replace ss.lpref_in_pfx p v;
-  notify_policy t "set-import-lpref-for" p ss.peer
+  let peer = (session t n s).peer in
+  note_touched t p peer;
+  Rows.replace (rows_for t p).lpref (rule_key n s) v;
+  notify_policy t "set-import-lpref-for" p peer
 
 let clear_import_lpref_for t n s p =
-  let ss = session t n s in
-  note_touched t p ss.peer;
-  Prefix.Table.remove ss.lpref_in_pfx p;
-  notify_policy t "clear-import-lpref-for" p ss.peer
+  let peer = (session t n s).peer in
+  note_touched t p peer;
+  remove_rule lpref_rows t n s p;
+  notify_policy t "clear-import-lpref-for" p peer
 
-let import_lpref_for t n s p =
-  Prefix.Table.find_opt (session t n s).lpref_in_pfx p
+let import_lpref_for t n s p = find_rule lpref_rows t n s p
 
 let set_import_med t n s p v =
-  let ss = session t n s in
-  note_touched t p ss.peer;
-  Prefix.Table.replace ss.med_in p v;
-  notify_policy t "set-import-med" p ss.peer
+  let peer = (session t n s).peer in
+  note_touched t p peer;
+  Rows.replace (rows_for t p).med (rule_key n s) v;
+  notify_policy t "set-import-med" p peer
 
 let clear_import_med t n s p =
-  let ss = session t n s in
-  note_touched t p ss.peer;
-  Prefix.Table.remove ss.med_in p;
-  notify_policy t "clear-import-med" p ss.peer
+  let peer = (session t n s).peer in
+  note_touched t p peer;
+  remove_rule med_rows t n s p;
+  notify_policy t "clear-import-med" p peer
 
-let import_med t n s p = Prefix.Table.find_opt (session t n s).med_in p
+let import_med t n s p = find_rule med_rows t n s p
+
+let session_med = import_med
 
 (* Export-side changes are re-evaluated at the exporting node itself. *)
 let deny_export t n s p =
+  ignore (session t n s);
   note_touched t p n;
-  Prefix.Table.replace (session t n s).deny_out p ();
+  Rows.replace (rows_for t p).deny (rule_key n s) ();
   notify_policy t "deny-export" p n
 
 let allow_export t n s p =
+  ignore (session t n s);
   note_touched t p n;
-  Prefix.Table.remove (session t n s).deny_out p;
+  remove_rule deny_rows t n s p;
   notify_policy t "allow-export" p n
 
-let export_denied t n s p = Prefix.Table.mem (session t n s).deny_out p
+let export_denied t n s p = find_rule deny_rows t n s p <> None
+
+(* Readers walk the index through [to_seq], never [iter]/[fold]:
+   those flag an ongoing traversal by writing to the table, and Pool
+   workers read the same rows concurrently. *)
+let iter_rows f tbl =
+  Seq.iter (fun (k, v) -> f (key_node k) (key_session k) v) (Rows.to_seq tbl)
+
+let iter_prefix_rules t p ~deny ~med ~lpref =
+  match rows_of t p with
+  | None -> ()
+  | Some r ->
+      iter_rows (fun n s () -> deny n s) r.deny;
+      iter_rows med r.med;
+      iter_rows lpref r.lpref
+
+let all_rows t = Prefix.Table.to_seq t.policy
+
+(* Whole-net folds visit rules in (node, session, prefix) order, so
+   their output does not depend on hash-table history. *)
+let fold_rules sel t f init =
+  Seq.fold_left
+    (fun acc (p, r) ->
+      Seq.fold_left
+        (fun acc (k, v) -> (k, p, v) :: acc)
+        acc
+        (Rows.to_seq (sel r)))
+    [] (all_rows t)
+  |> List.sort (fun (k1, p1, _) (k2, p2, _) ->
+         match Int.compare k1 k2 with 0 -> Prefix.compare p1 p2 | c -> c)
+  |> List.fold_left
+       (fun acc (k, p, v) -> f (key_node k) (key_session k) p v acc)
+       init
 
 let fold_export_denies t f init =
-  let acc = ref init in
-  Vec.iteri
-    (fun n nd ->
-      Vec.iteri
-        (fun si s -> Prefix.Table.iter (fun p () -> acc := f n si p !acc) s.deny_out)
-        nd.sessions)
-    t.nodes;
-  !acc
+  fold_rules deny_rows t (fun n s p () acc -> f n s p acc) init
 
-let fold_import_meds t f init =
-  let acc = ref init in
-  Vec.iteri
-    (fun n nd ->
-      Vec.iteri
-        (fun si s -> Prefix.Table.iter (fun p v -> acc := f n si p v !acc) s.med_in)
-        nd.sessions)
-    t.nodes;
-  !acc
+let fold_import_meds t f init = fold_rules med_rows t f init
 
-let fold_import_lprefs t f init =
-  let acc = ref init in
-  Vec.iteri
-    (fun n nd ->
-      Vec.iteri
-        (fun si s ->
-          Prefix.Table.iter (fun p v -> acc := f n si p v !acc) s.lpref_in_pfx)
-        nd.sessions)
-    t.nodes;
-  !acc
+let fold_import_lprefs t f init = fold_rules lpref_rows t f init
 
 let count_policies t =
-  let denies = ref 0 and meds = ref 0 in
-  Vec.iteri
-    (fun _ nd ->
-      Vec.iteri
-        (fun _ s ->
-          denies := !denies + Prefix.Table.length s.deny_out;
-          meds := !meds + Prefix.Table.length s.med_in)
-        nd.sessions)
-    t.nodes;
-  (!denies, !meds)
+  Seq.fold_left
+    (fun (denies, meds) (_, r) ->
+      (denies + Rows.length r.deny, meds + Rows.length r.med))
+    (0, 0) (all_rows t)
 
 let set_export_matrix t f =
   bump_generation t;
@@ -597,54 +635,73 @@ let set_med_scope t scope =
 
 let med_scope t = t.m_scope
 
-let copy_table src dst =
-  Prefix.Table.reset dst;
-  Prefix.Table.iter (fun p v -> Prefix.Table.replace dst p v) src
-
 let duplicate_node t n =
   let orig = node t n in
   let idx = List.length (nodes_of_as t orig.asn) in
   let ip = Asn.router_ip orig.asn idx in
   let id = add_node t ~asn:orig.asn ~ip in
   let dup = node t id in
+  (* [toward_dup.(i)]: index, at the peer of n's session [i], of the
+     peer's new half-session toward the duplicate. *)
+  let toward_dup = Array.make (Vec.length orig.sessions) (-1) in
   Vec.iteri
-    (fun _ s ->
+    (fun i s ->
       let peer_node = node t s.peer in
       let peer_half = Vec.get peer_node.sessions s.peer_session in
-      (* Half-session at the duplicate, mirroring n's import/export
-         policies toward this peer. *)
+      (* Half-session at the duplicate, mirroring n's session toward
+         this peer; it gets the same local index [i]. *)
       let mine = fresh_session ~peer:s.peer ~kind:s.kind ~s_class:s.s_class in
       mine.lpref_in <- s.lpref_in;
       mine.carry_lpref <- s.carry_lpref;
       mine.rr_client <- s.rr_client;
-      copy_table s.med_in mine.med_in;
-      copy_table s.lpref_in_pfx mine.lpref_in_pfx;
-      copy_table s.deny_out mine.deny_out;
       (* Half-session at the peer toward the duplicate, mirroring the
-         peer's policies toward n (so the duplicate receives exactly the
-         routes n receives — paper §4.6). *)
+         peer's half toward n. *)
       let theirs =
         fresh_session ~peer:id ~kind:peer_half.kind ~s_class:peer_half.s_class
       in
       theirs.lpref_in <- peer_half.lpref_in;
       theirs.carry_lpref <- peer_half.carry_lpref;
       theirs.rr_client <- peer_half.rr_client;
-      copy_table peer_half.med_in theirs.med_in;
-      copy_table peer_half.lpref_in_pfx theirs.lpref_in_pfx;
-      copy_table peer_half.deny_out theirs.deny_out;
       let im = Vec.push dup.sessions mine in
       let ip' = Vec.push peer_node.sessions theirs in
       mine.peer_session <- ip';
       theirs.peer_session <- im;
+      toward_dup.(i) <- ip';
       t.nsessions <- t.nsessions + 2)
     orig.sessions;
+  (* Per-prefix policies in both directions, so the duplicate has the
+     same RIB-In as the original (paper §4.6): each rule of n is
+     repeated at the duplicate under the same session index, and each
+     rule on a peer's half toward n on its half toward the duplicate.
+     One pass over the index, collected first: the rows must not grow
+     while they are walked. *)
+  let copy tbl =
+    Rows.fold
+      (fun k v acc ->
+        let m = key_node k in
+        if m = n then (rule_key id (key_session k), v) :: acc
+        else
+          let ss = session t m (key_session k) in
+          if ss.peer = n then
+            (rule_key m toward_dup.(ss.peer_session), v) :: acc
+          else acc)
+      tbl []
+    |> List.iter (fun (k, v) -> Rows.replace tbl k v)
+  in
+  Prefix.Table.iter
+    (fun _ r ->
+      copy r.med;
+      copy r.lpref;
+      copy r.deny)
+    t.policy;
   id
 
 (* Deterministic digest of everything the simulation outcome depends
    on: nodes, sessions, session attributes and per-prefix policies.
-   Per-prefix tables are folded order-independently (XOR of per-entry
-   hashes) because hash-table iteration order is unspecified.  Two nets
-   built by identical generator runs fingerprint identically. *)
+   Per-prefix rules are folded order-independently (XOR of per-rule
+   hashes keyed by CSR slot) because hash-table iteration order is
+   unspecified.  Two nets built by identical generator runs fingerprint
+   identically. *)
 let structure_fingerprint t =
   let h = ref 0x9e37 in
   let mix x = h := (!h * 1000003) lxor (x land max_int) in
@@ -663,18 +720,14 @@ let structure_fingerprint t =
   Array.iter mix c.c_carry;
   Array.iter mix c.c_rr;
   let acc = ref 0 in
-  Array.iteri
-    (fun k ss ->
-      Prefix.Table.iter
-        (fun p v -> acc := !acc lxor Hashtbl.hash (k, 0, p, v))
-        ss.med_in;
-      Prefix.Table.iter
-        (fun p v -> acc := !acc lxor Hashtbl.hash (k, 1, p, v))
-        ss.lpref_in_pfx;
-      Prefix.Table.iter
-        (fun p () -> acc := !acc lxor Hashtbl.hash (k, 2, p))
-        ss.deny_out)
-    c.c_sess;
+  let slot n s = c.c_off.(n) + s in
+  let add x = acc := !acc lxor x in
+  Seq.iter
+    (fun (p, r) ->
+      iter_rows (fun n s v -> add (Hashtbl.hash (slot n s, 0, p, v))) r.med;
+      iter_rows (fun n s v -> add (Hashtbl.hash (slot n s, 1, p, v))) r.lpref;
+      iter_rows (fun n s () -> add (Hashtbl.hash (slot n s, 2, p))) r.deny)
+    (all_rows t);
   mix !acc;
   !h
 

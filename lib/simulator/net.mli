@@ -101,7 +101,12 @@ val session_info : t -> int -> int -> session_info
     sessions is a linear scan of int arrays, and the mirror half-session
     at the peer is one array read ({!Csr.rev}) instead of a node-record
     chase.  The arrays are shared, not copied — callers must treat them
-    as read-only. *)
+    as read-only.
+
+    Per-prefix policies are not in the index: they change without a
+    generation bump and are read per prefix through
+    {!iter_prefix_rules}, whose (node, session-local index) keys map to
+    slot [off.(n) + s] of any index. *)
 module Csr : sig
   type t
 
@@ -151,15 +156,6 @@ module Csr : sig
 
   val ips : t -> int array
   (** Node -> numeric router address (the final tie-break value). *)
-
-  val slot_med : t -> int -> Prefix.t -> int option
-  (** Per-prefix import MED of a slot.  Reads the live policy table, so
-      per-prefix edits (which do not bump the generation) are visible
-      through a cached index. *)
-
-  val slot_import_lpref_for : t -> int -> Prefix.t -> int option
-
-  val slot_export_denied : t -> int -> Prefix.t -> bool
 end
 
 val csr : t -> Csr.t
@@ -176,6 +172,21 @@ val structure_fingerprint : t -> int
 
 val session_med : t -> int -> int -> Prefix.t -> int option
 (** Alias of {!import_med}; named for the engine's import step. *)
+
+val iter_prefix_rules :
+  t ->
+  Prefix.t ->
+  deny:(int -> int -> unit) ->
+  med:(int -> int -> int -> unit) ->
+  lpref:(int -> int -> int -> unit) ->
+  unit
+(** [iter_prefix_rules t p ~deny ~med ~lpref] visits every rule of
+    prefix [p] only, in unspecified order: [deny n s] per export
+    filter, [med n s v] per import MED and [lpref n s v] per per-prefix
+    import LOCAL_PREF, where [s] is the session index at node [n].  The
+    cost is the number of rules of [p], whatever the size of the net —
+    the engine's per-run policy setup.  Safe from concurrent readers
+    while no mutator runs. *)
 
 (** {2 Policies} *)
 
@@ -234,7 +245,8 @@ val allow_export : t -> int -> int -> Prefix.t -> unit
 val export_denied : t -> int -> int -> Prefix.t -> bool
 
 val fold_export_denies : t -> (int -> int -> Prefix.t -> 'a -> 'a) -> 'a -> 'a
-(** Fold over all (node, session, prefix) deny rules. *)
+(** Fold over all (node, session, prefix) deny rules, in ascending
+    (node, session, prefix) order — as are the other whole-net folds. *)
 
 val fold_import_meds :
   t -> (int -> int -> Prefix.t -> int -> 'a -> 'a) -> 'a -> 'a

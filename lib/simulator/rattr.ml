@@ -54,11 +54,20 @@ let full_path ~own_as r =
   Array.blit r.path 0 out 1 n;
   out
 
-(* Paths flowing through the engine are interned (Intern.path), so the
-   physical check settles the common case without walking the array;
-   the structural fallback keeps the comparison correct for arrays from
-   other domains or built by callers directly. *)
-let same_path (a : int array) b = a == b || a = b
+(* The physical check settles shared arrays without walking them; the
+   element loop (not the polymorphic [=], a C call) keeps the common
+   short-path comparison cheap for arrays built separately, such as
+   the engine's per-export prepends. *)
+let same_path (a : int array) b =
+  a == b
+  ||
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i =
+    i = n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1))
+  in
+  go 0
 
 let same_advertisement a b =
   match (a, b) with

@@ -49,10 +49,9 @@ val full_path : own_as:Asn.t -> t -> int array
     holder would see it: own AS prepended. *)
 
 val same_path : int array -> int array -> bool
-(** Path equality, physical first: engine paths are hash-consed
-    ({!Intern}), so identical paths within a domain usually share one
-    array; structural equality remains the fallback (and the
-    definition). *)
+(** Path equality, physical first (shared arrays compare without a
+    walk), then element by element; structural equality is the
+    definition. *)
 
 val same_advertisement : t option -> t option -> bool
 (** Do two RIB-In slots hold the same announcement (same sender, same

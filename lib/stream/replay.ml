@@ -388,25 +388,21 @@ let acc_of t cls =
       a
 
 (* ASes whose selected path set changed between the cached and the new
-   state; the fingerprint shortcut skips the quadratic walk when the
-   routing content is bit-identical. *)
+   state.  An AS whose nodes all kept physically the same best route
+   cannot have changed, so only the others pay for the path-set
+   comparison. *)
 let shifted_ases t old_opt new_st =
   let net = t.model.Qrmodel.net in
-  match old_opt with
-  | Some old
-    when Engine.state_fingerprint old = Engine.state_fingerprint new_st ->
-      0
-  | _ ->
-      List.length
-        (List.filter
-           (fun asn ->
-             let before =
-               match old_opt with
-               | Some o -> Engine.selected_paths net o asn
-               | None -> []
-             in
-             Engine.selected_paths net new_st asn <> before)
-           (Asgraph.nodes t.model.Qrmodel.graph))
+  List.length
+    (List.filter
+       (fun asn ->
+         match old_opt with
+         | None -> Engine.selected_paths net new_st asn <> []
+         | Some old ->
+             (not (Engine.same_selected net old new_st asn))
+             && Engine.selected_paths net new_st asn
+                <> Engine.selected_paths net old asn)
+       (Asgraph.nodes t.model.Qrmodel.graph))
 
 let pollution t p attacker =
   let net = t.model.Qrmodel.net in

@@ -105,6 +105,199 @@ let duplication () =
   Net.set_import_med net a2 sa_c p 99;
   check_bool "deep copy" true (Net.import_med net a sa_c p = Some 7)
 
+(* -- the prefix-major policy index against a naive list model -- *)
+
+type op =
+  | Deny of int * int * int  (* node pick, session pick, prefix pick *)
+  | Allow of int * int * int
+  | Set_med of int * int * int * int
+  | Clear_med of int * int * int
+  | Set_lpref of int * int * int * int
+  | Clear_lpref of int * int * int
+  | Connect of int * int
+  | Duplicate of int
+
+let show_op = function
+  | Deny (a, b, c) -> Printf.sprintf "deny(%d,%d,%d)" a b c
+  | Allow (a, b, c) -> Printf.sprintf "allow(%d,%d,%d)" a b c
+  | Set_med (a, b, c, v) -> Printf.sprintf "med(%d,%d,%d)=%d" a b c v
+  | Clear_med (a, b, c) -> Printf.sprintf "clear-med(%d,%d,%d)" a b c
+  | Set_lpref (a, b, c, v) -> Printf.sprintf "lpref(%d,%d,%d)=%d" a b c v
+  | Clear_lpref (a, b, c) -> Printf.sprintf "clear-lpref(%d,%d,%d)" a b c
+  | Connect (a, b) -> Printf.sprintf "connect(%d,%d)" a b
+  | Duplicate a -> Printf.sprintf "dup(%d)" a
+
+let gen_op =
+  QCheck.Gen.(
+    let pick = int_bound 1000 in
+    let v = int_bound 300 in
+    frequency
+      [
+        (4, map3 (fun a b c -> Deny (a, b, c)) pick pick pick);
+        (2, map3 (fun a b c -> Allow (a, b, c)) pick pick pick);
+        (3, map (fun (a, b, c, x) -> Set_med (a, b, c, x))
+          (quad pick pick pick v));
+        (2, map3 (fun a b c -> Clear_med (a, b, c)) pick pick pick);
+        (3, map (fun (a, b, c, x) -> Set_lpref (a, b, c, x))
+          (quad pick pick pick v));
+        (2, map3 (fun a b c -> Clear_lpref (a, b, c)) pick pick pick);
+        (2, map2 (fun a b -> Connect (a, b)) pick pick);
+        (1, map (fun a -> Duplicate a) pick);
+      ])
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_op ops))
+    QCheck.Gen.(list_size (int_range 1 60) gen_op)
+
+let model_prefixes = Array.init 3 (fun i -> Asn.origin_prefix (i + 1))
+
+type kind = Kdeny | Kmed | Klpref
+
+(* Replays [ops] on a four-node net and on an association list of
+   (kind, node, session, prefix) -> value, then compares every reader
+   of the index with the list. *)
+let index_matches_model ops =
+  let net = Net.create () in
+  let ids =
+    Array.init 4 (fun i ->
+        Net.add_node net ~asn:(i + 1) ~ip:(Asn.router_ip (i + 1) 0))
+  in
+  ignore (Net.connect net ids.(0) ids.(1));
+  ignore (Net.connect net ids.(1) ids.(2));
+  let rules = ref [] in
+  let set key v = rules := (key, v) :: List.remove_assoc key !rules in
+  let clear key = rules := List.remove_assoc key !rules in
+  let on_session a b c f =
+    let n = a mod Net.node_count net in
+    let k = Net.session_count_of net n in
+    if k > 0 then f n (b mod k) model_prefixes.(c mod 3)
+  in
+  List.iter
+    (function
+      | Deny (a, b, c) ->
+          on_session a b c (fun n s p ->
+              Net.deny_export net n s p;
+              set (Kdeny, n, s, p) 0)
+      | Allow (a, b, c) ->
+          on_session a b c (fun n s p ->
+              Net.allow_export net n s p;
+              clear (Kdeny, n, s, p))
+      | Set_med (a, b, c, v) ->
+          on_session a b c (fun n s p ->
+              Net.set_import_med net n s p v;
+              set (Kmed, n, s, p) v)
+      | Clear_med (a, b, c) ->
+          on_session a b c (fun n s p ->
+              Net.clear_import_med net n s p;
+              clear (Kmed, n, s, p))
+      | Set_lpref (a, b, c, v) ->
+          on_session a b c (fun n s p ->
+              Net.set_import_lpref_for net n s p v;
+              set (Klpref, n, s, p) v)
+      | Clear_lpref (a, b, c) ->
+          on_session a b c (fun n s p ->
+              Net.clear_import_lpref_for net n s p;
+              clear (Klpref, n, s, p))
+      | Connect (a, b) ->
+          let a = a mod Net.node_count net and b = b mod Net.node_count net in
+          if a <> b && Net.find_session net a b = None then
+            ignore (Net.connect net a b)
+      | Duplicate a ->
+          let n = a mod Net.node_count net in
+          let dup = Net.duplicate_node net n in
+          (* The duplicate inherits n's rules under the same session
+             index; a peer's rules toward n reappear on its session
+             toward the duplicate. *)
+          let copies =
+            List.filter_map
+              (fun ((kind, m, s, p), v) ->
+                if m = n then Some ((kind, dup, s, p), v)
+                else if Net.session_peer net m s = n then
+                  Option.map
+                    (fun s' -> ((kind, m, s', p), v))
+                    (Net.find_session net m dup)
+                else None)
+              !rules
+          in
+          rules := copies @ !rules)
+    ops;
+  let expect kind n s p = List.assoc_opt (kind, n, s, p) !rules in
+  let readers_agree = ref true in
+  for n = 0 to Net.node_count net - 1 do
+    for s = 0 to Net.session_count_of net n - 1 do
+      Array.iter
+        (fun p ->
+          if
+            Net.export_denied net n s p <> (expect Kdeny n s p <> None)
+            || Net.import_med net n s p <> expect Kmed n s p
+            || Net.import_lpref_for net n s p <> expect Klpref n s p
+          then readers_agree := false)
+        model_prefixes
+    done
+  done;
+  let cmp (n1, s1, p1, _) (n2, s2, p2, _) =
+    compare (n1, s1) (n2, s2) |> function 0 -> Prefix.compare p1 p2 | c -> c
+  in
+  let expected kind =
+    List.filter_map
+      (fun ((k, n, s, p), v) -> if k = kind then Some (n, s, p, v) else None)
+      !rules
+    |> List.sort cmp
+  in
+  let folded fold =
+    List.rev (fold net (fun n s p v acc -> (n, s, p, v) :: acc) [])
+  in
+  let denies =
+    Net.fold_export_denies net (fun n s p acc -> (n, s, p, 0) :: acc) []
+    |> List.rev
+  in
+  !readers_agree
+  && denies = expected Kdeny
+  && folded Net.fold_import_meds = expected Kmed
+  && folded Net.fold_import_lprefs = expected Klpref
+  && Net.count_policies net
+     = (List.length (expected Kdeny), List.length (expected Kmed))
+
+let prop_index_matches_model =
+  QCheck.Test.make ~name:"policy index matches a list model" ~count:200
+    arb_ops index_matches_model
+
+(* The structure fingerprint folds per-prefix rules by CSR slot; its
+   values predate the prefix-major index and must not move.  The
+   pinned value was computed on this net before the index existed. *)
+let pinned_fingerprint () =
+  let net = Net.create () in
+  let n = 12 in
+  let ids =
+    Array.init n (fun i ->
+        Net.add_node net ~asn:(i + 1) ~ip:(Asn.router_ip (i + 1) 0))
+  in
+  for i = 0 to n - 1 do
+    ignore (Net.connect net ids.(i) ids.((i + 1) mod n));
+    if i mod 3 = 0 then ignore (Net.connect net ids.(i) ids.((i + 5) mod n))
+  done;
+  let ps = Array.init 5 (fun i -> Asn.origin_prefix (i + 1)) in
+  let r = ref 12345 in
+  let rnd k =
+    r := ((!r * 1103515245) + 12345) land 0x3fffffff;
+    !r mod k
+  in
+  for _ = 1 to 200 do
+    let u = rnd (Net.node_count net) in
+    let s = rnd (Net.session_count_of net u) and p = ps.(rnd 5) in
+    match rnd 6 with
+    | 0 -> Net.deny_export net u s p
+    | 1 -> Net.allow_export net u s p
+    | 2 -> Net.set_import_med net u s p (rnd 50)
+    | 3 -> Net.clear_import_med net u s p
+    | 4 -> Net.set_import_lpref_for net u s p (50 + rnd 100)
+    | _ -> if rnd 8 = 0 then ignore (Net.duplicate_node net u)
+  done;
+  check_bool "pinned structure fingerprint" true
+    (Net.structure_fingerprint net = 3549186417604269562);
+  check_bool "policy counts" true (Net.count_policies net = (57, 38))
+
 let suite =
   [
     Alcotest.test_case "construction" `Quick construction;
@@ -113,4 +306,6 @@ let suite =
     Alcotest.test_case "policy counting" `Quick policy_counting;
     Alcotest.test_case "nodes_of_as ordering" `Quick nodes_of_as_ordering;
     Alcotest.test_case "duplication" `Quick duplication;
+    Alcotest.test_case "pinned structure fingerprint" `Quick pinned_fingerprint;
+    QCheck_alcotest.to_alcotest prop_index_matches_model;
   ]

@@ -590,6 +590,42 @@ let concurrent_queries_immutable () =
         results;
       check_int "zero ownership violations" 0 (Ownership.violation_count ()))
 
+(* A churn apply redoes per-prefix work only for the prefixes it
+   reconverged: churn reports fingerprint every tracked state, but a
+   state is hashed once, and the what-if baseline keeps the rows of
+   unchanged states — while still matching a fresh derivation. *)
+let churn_redoes_only_reconverged () =
+  let store = Snapshot.store () in
+  Snapshot.publish store (build_snapshot ());
+  let apply_one ev =
+    match Serve.Churn.apply store [ Stream.Event.make ~ts_ms:0 ev ] with
+    | Ok report -> report
+    | Error e -> Alcotest.failf "apply failed: %s" e
+  in
+  let baseline_is_fresh () =
+    let snap = Option.get (Snapshot.current store) in
+    let fresh =
+      Asmodel.Whatif.of_states (Snapshot.model snap) (Snapshot.states snap)
+    in
+    (Asmodel.Whatif.diff (Snapshot.baseline snap) fresh)
+      .Asmodel.Whatif.prefixes_affected = 0
+  in
+  let hashes () = Obs.Metrics.find_counter "engine.state_fingerprints" in
+  ignore (apply_one (Stream.Event.Session_down { a = 4; b = 5 }));
+  check_bool "baseline matches the states after down" true
+    (baseline_is_fresh ());
+  let h0 = hashes () in
+  let p3 = Asn.origin_prefix 3 in
+  let report = apply_one (Stream.Event.Hijack { prefix = p3; attacker = 5 }) in
+  check_int "only the hijacked prefix reconverged" 1
+    report.Stream.Replay.reconvergences;
+  check_int "one hash per reconverged prefix" 1 (hashes () - h0);
+  check_bool "baseline matches the states after the hijack" true
+    (baseline_is_fresh ());
+  match Snapshot.current store with
+  | Some s -> Snapshot.retire s
+  | None -> ()
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
@@ -611,6 +647,8 @@ let suite =
       client_disconnect_keeps_serving;
     Alcotest.test_case "churn pairs across applies" `Quick
       churn_pairs_across_applies;
+    Alcotest.test_case "churn redoes only reconverged prefixes" `Quick
+      churn_redoes_only_reconverged;
     Alcotest.test_case "whatif after churn hijack" `Quick
       whatif_after_churn_hijack;
     Alcotest.test_case "concurrent apply and reload" `Quick

@@ -470,6 +470,42 @@ let rollback_restores_net () =
   let rp2 = Replay.create m in
   check_bool "pre-churn routing restored" true (Replay.fingerprint rp2 = fp0)
 
+(* [ases_shifted] counts the ASes whose selected path set changed,
+   exactly as a full diff of every AS over every prefix would. *)
+let shifted_matches_full_diff () =
+  let m = model () in
+  let net = m.Qrmodel.net in
+  let stream, _ =
+    Event.normalize ~known_as
+      (Streamgen.mixed ~events:32 m (Random.State.make [| 11 |]))
+  in
+  let t = Replay.create m in
+  let total = ref 0 in
+  List.iter
+    (fun ev ->
+      let before = Replay.states t in
+      let r = Replay.apply t ev in
+      let paths states p asn =
+        match List.assoc_opt p states with
+        | Some st -> Simulator.Engine.selected_paths net st asn
+        | None -> []
+      in
+      let after = Replay.states t in
+      let expected =
+        List.fold_left
+          (fun acc (p, _) ->
+            acc
+            + List.length
+                (List.filter
+                   (fun asn -> paths before p asn <> paths after p asn)
+                   (Topology.Asgraph.nodes graph)))
+          0 after
+      in
+      check_int (Event.to_string ev) expected r.Replay.ases_shifted;
+      total := !total + expected)
+    stream;
+  check_bool "the stream shifted paths" true (!total > 0)
+
 let suite =
   [
     Alcotest.test_case "event roundtrip" `Quick event_roundtrip;
@@ -488,6 +524,8 @@ let suite =
       subprefix_hijack_pollutes;
     Alcotest.test_case "MOAS hijack classifies" `Quick moas_hijack_classifies;
     Alcotest.test_case "warm matches cold" `Quick warm_matches_cold;
+    Alcotest.test_case "shifted ASes match a full diff" `Quick
+      shifted_matches_full_diff;
     Alcotest.test_case "verify mode agrees" `Quick verify_mode_agrees;
     Alcotest.test_case "RD_CHECK via Runtime audits replay" `Quick
       replay_audited_via_runtime;

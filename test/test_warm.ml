@@ -401,6 +401,58 @@ let refiner_verify_clean () =
   check_bool "resumes counted by the pool" true
     (r.Refiner.pool.Pool.resumed > 0)
 
+(* -- memoised state fingerprints -- *)
+
+let fingerprints () = Obs.Metrics.find_counter "engine.state_fingerprints"
+
+(* The memo is per state: a warm resume from an already fingerprinted
+   state must not inherit its memo, and asking twice hashes once. *)
+let memo_fresh_after_resume () =
+  let m = Qrmodel.initial diamond_graph in
+  let net = m.Qrmodel.net in
+  let prev = Qrmodel.simulate m p in
+  Net.clear_touched net p;
+  let f0 = fingerprints () in
+  let fp_prev = Engine.state_fingerprint prev in
+  check_int "first ask hashes" (f0 + 1) (fingerprints ());
+  check_int "second ask is memoised" fp_prev (Engine.state_fingerprint prev);
+  check_int "no second hash" (f0 + 1) (fingerprints ());
+  let n1 = List.hd (Net.nodes_of_as net 1) in
+  let n4 = List.hd (Net.nodes_of_as net 4) in
+  let s41 = Option.get (Net.find_session net n4 n1) in
+  Net.deny_export net n4 s41 p;
+  let warm =
+    Engine.simulate ~from:prev net ~prefix:p
+      ~originators:(Qrmodel.originators m p)
+  in
+  check_bool "resumed" true (Engine.resumed warm);
+  let cold = Qrmodel.simulate m p in
+  check_int "warm fingerprint equals cold" (Engine.state_fingerprint cold)
+    (Engine.state_fingerprint warm);
+  check_bool "the edit changed the routing" true
+    (Engine.state_fingerprint warm <> fp_prev);
+  check_int "one hash per new state" (f0 + 3) (fingerprints ())
+
+(* Two domains racing on one unset memo both get the real value. *)
+let memo_across_domains () =
+  let m = Qrmodel.initial diamond_graph in
+  let st = Qrmodel.simulate m p in
+  let go = Atomic.make false in
+  let worker () =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        Engine.state_fingerprint st)
+  in
+  let a = worker () and b = worker () in
+  Atomic.set go true;
+  let fa = Domain.join a and fb = Domain.join b in
+  check_int "domains agree" fa fb;
+  check_int "memo holds the value" fa (Engine.state_fingerprint st);
+  let fresh = Qrmodel.simulate m p in
+  check_int "equals a fresh state's" (Engine.state_fingerprint fresh) fa
+
 let suite =
   [
     Alcotest.test_case "touched tracking" `Quick touched_tracking;
@@ -422,4 +474,8 @@ let suite =
     Alcotest.test_case "refiner mode equivalence" `Quick
       refiner_mode_equivalence;
     Alcotest.test_case "refiner verify is clean" `Quick refiner_verify_clean;
+    Alcotest.test_case "fingerprint memo fresh after resume" `Quick
+      (Knobs.resuming memo_fresh_after_resume);
+    Alcotest.test_case "fingerprint memo across domains" `Quick
+      memo_across_domains;
   ]
