@@ -31,9 +31,10 @@ type state = {
   mutable outcome : outcome;
   mutable events : int;
   mutable fp : int;
-      (* memoised {!state_fingerprint}, [fp_unset] until first asked.
-         A state is frozen once [exec] returns, so the memo never goes
-         stale; each constructor starts it unset. *)
+      (* memoised {!state_fingerprint}, [fp_unset] until known.  A
+         state is frozen once [exec] returns, so the memo never goes
+         stale; a cold state fills it on first ask, a warm state from a
+         fingerprinted parent as [warm] returns. *)
 }
 
 (* If a real fingerprint equals the sentinel it is simply recomputed on
@@ -176,22 +177,77 @@ let fingerprint st iter_queue queued =
   let h = ref (mix_routes (mix_routes 0x42 st.best) st.slab) in
   let mix x = h := (!h * 1000003) lxor (x land max_int) in
   iter_queue (fun u -> mix (u + 0x9e3779b9));
-  Array.iter (fun q -> mix (Bool.to_int q)) queued;
+  for u = 0 to st.nodes - 1 do
+    mix (Bool.to_int queued.(u))
+  done;
   !h
 
 (* Routing-content fingerprint (no queue): what warm-vs-cold
-   verification and churn reports compare.  Identical final best routes
-   and RIB-Ins give identical fingerprints regardless of how the fixed
-   point was reached.  Computed at most once per state (see [fp]). *)
+   verification and churn reports compare.  It is a positional,
+   additive content hash — the wrapping sum of one term per non-empty
+   entry, [best_hash i] per node and [slot_hash k] per RIB-In slot — so
+   identical best routes and RIB-Ins give identical fingerprints however
+   the fixed point was reached, and a state that differs from another
+   in a few entries has a fingerprint that differs by a few terms.  Each
+   term is the watchdog's field mix seeded with a position salt, then
+   finalised with bijective xor-shift/multiply steps so the sum spreads
+   over the whole int range. *)
+let finalise h =
+  let h = h lxor (h lsr 32) in
+  let h = h * 0x1f51afd7ed558ccd in
+  let h = h lxor (h lsr 29) in
+  let h = h * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 32)
+
+let route_hash salt r = if Rattr.is_route r then finalise (mix_route salt r) else 0
+
+let best_hash i r = route_hash (2 * i) r
+
+let slot_hash k r = route_hash ((2 * k) + 1) r
+
+let content_hash st =
+  let h = ref 0 in
+  let best = st.best and slab = st.slab in
+  for i = 0 to Array.length best - 1 do
+    h := !h + best_hash i (Array.unsafe_get best i)
+  done;
+  for k = 0 to Array.length slab - 1 do
+    h := !h + slot_hash k (Array.unsafe_get slab k)
+  done;
+  !h
+
+(* Computed in full at most once per state (see [fp]); a warm state
+   whose parent was fingerprinted never gets here (see
+   [inherit_fingerprint]). *)
 let state_fingerprint st =
   let fp = st.fp in
   if fp <> fp_unset then fp
   else begin
-    let fp = mix_routes (mix_routes 0x42 st.best) st.slab in
+    let fp = content_hash st in
     Obs.Metrics.incr state_fingerprints_m;
     st.fp <- fp;
     fp
   end
+
+(* The fingerprint of a warm state from its parent's: the warm copy
+   shares every record its run did not replace, so only the entries
+   that are not physically the parent's can change the sum — swap their
+   terms.  One pointer-compare pass over the two states' arrays, with
+   no hashing of untouched routes.  A structurally equal replacement
+   swaps equal terms, which is harmless. *)
+let inherit_fingerprint ~parent st =
+  let h = ref parent.fp in
+  let pb = parent.best and b = st.best in
+  for i = 0 to Array.length b - 1 do
+    let r = Array.unsafe_get b i and r0 = Array.unsafe_get pb i in
+    if r != r0 then h := !h + best_hash i r - best_hash i r0
+  done;
+  let ps = parent.slab and s = st.slab in
+  for k = 0 to Array.length s - 1 do
+    let r = Array.unsafe_get s k and r0 = Array.unsafe_get ps k in
+    if r != r0 then h := !h + slot_hash k r - slot_hash k r0
+  done;
+  st.fp <- !h
 
 let same_state a b =
   a.pfx = b.pfx && a.nodes = b.nodes
@@ -216,6 +272,79 @@ let path_mem (path : int array) x =
    history loses nothing while capping memory on huge budgets. *)
 let watchdog_history_cap = 4096
 
+(* Per-run working arrays, one set per domain.  Slot- and node-sized
+   arrays exceed the minor heap's largest block on any real world, so
+   allocating them per run sends every run to the major heap and the GC
+   work they trigger dominates short warm resumes.  Instead each domain
+   keeps one set in [Domain.DLS], grown on demand and clean at rest:
+   [deny] all false; [med_in], [lpref_for] and [igp_memo] all [min_int];
+   [queued] all false; [orig] all {!Rattr.no_route}.  A run dirties only
+   what it touches — this prefix's rule slots, the [igp_dirty] stack of
+   memoised IGP slots, the nodes left queued, the originators — and
+   cleans exactly that on the way out, exception or not, so reuse costs
+   O(what the run touched), not O(slots).  Systhreads of one domain
+   share its DLS and [on_best_change] may re-enter the engine, so the
+   set is claimed through [busy]; a run that finds it taken gets a
+   private, exactly sized set, as if there were no reuse. *)
+type scratch = {
+  busy : bool Atomic.t;
+  mutable deny : bool array;
+  mutable med_in : int array;
+  mutable lpref_for : int array;
+  mutable igp_memo : int array;
+  mutable igp_dirty : int array;  (* stack of set [igp_memo] slots *)
+  mutable qbuf : int array;  (* ring storage; no reset needed *)
+  mutable queued : bool array;
+  mutable orig : Rattr.t array;
+}
+
+let make_scratch ~nodes ~slots =
+  {
+    busy = Atomic.make false;
+    deny = Array.make slots false;
+    med_in = Array.make slots min_int;
+    lpref_for = Array.make slots min_int;
+    igp_memo = Array.make slots min_int;
+    igp_dirty = Array.make slots 0;
+    qbuf = Array.make (nodes + 1) 0;
+    queued = Array.make nodes false;
+    orig = Array.make nodes Rattr.no_route;
+  }
+
+let scratch_key = Domain.DLS.new_key (fun () -> make_scratch ~nodes:0 ~slots:0)
+
+let scratch_fallbacks_m = Obs.Metrics.counter "engine.scratch_fallbacks"
+
+(* Geometric growth: the refiner densifies its model a few slots at a
+   time, and each growth is one fresh (hence clean) set of arrays. *)
+let grown have need = if need <= have then have else max need (have + (have / 2))
+
+let claim_scratch ~nodes ~slots =
+  let sc = Domain.DLS.get scratch_key in
+  if not (Atomic.compare_and_set sc.busy false true) then begin
+    Obs.Metrics.incr scratch_fallbacks_m;
+    make_scratch ~nodes ~slots
+  end
+  else begin
+    (* Should growth itself raise, [busy] stays set and every later run
+       of this domain takes the private path: slower, never wrong. *)
+    if Array.length sc.deny < slots then begin
+      let len = grown (Array.length sc.deny) slots in
+      sc.deny <- Array.make len false;
+      sc.med_in <- Array.make len min_int;
+      sc.lpref_for <- Array.make len min_int;
+      sc.igp_memo <- Array.make len min_int;
+      sc.igp_dirty <- Array.make len 0
+    end;
+    if Array.length sc.queued < nodes then begin
+      let len = grown (Array.length sc.queued) nodes in
+      sc.qbuf <- Array.make (len + 1) 0;
+      sc.queued <- Array.make len false;
+      sc.orig <- Array.make len Rattr.no_route
+    end;
+    sc
+  end
+
 (* Shared drain core: seed the queue (cold start: the originators; warm
    start: peers disturbed by replayed exports), then process nodes
    until the queue empties, the budget (after escalations) runs out, or
@@ -227,7 +356,9 @@ let watchdog_history_cap = 4096
    below: walking a node's sessions is a linear int-array scan, the
    mirror slot at the peer is one [rev] read, and the work queue is a
    ring buffer, so the only per-event allocation is a short-lived
-   candidate record on an actual RIB-In change. *)
+   candidate record on an actual RIB-In change.  The slot- and
+   node-sized working arrays come from the domain's [scratch] and go
+   back clean, so the per-run allocation is small blocks only. *)
 let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
   let t0 = Obs.Trace.now_us () in
   let escalated = ref 0 in
@@ -267,25 +398,17 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
   let nslots = Array.length slab in
   (* Per-run flattening of this prefix's policy rules and of the export
      matrix: the prefix's sparse rows are written into slot-indexed
-     arrays at run start, costing one write per rule, instead of one
-     lookup per advertisement.  The net is frozen while a simulation
-     runs (mutation discipline), so these snapshots cannot go stale
+     arrays of the domain's scratch at run start (and cleared at run
+     end), costing one write per rule, instead of one lookup per
+     advertisement.  The net is frozen while a simulation runs
+     (mutation discipline), so these snapshots cannot go stale
      mid-run. *)
-  let deny = Array.make nslots false in
-  let med_in = Array.make nslots min_int in
-  let lpref_for = Array.make nslots min_int in
-  Net.iter_prefix_rules net st.pfx
-    ~deny:(fun u s -> deny.(off.(u) + s) <- true)
-    ~med:(fun u s v -> med_in.(off.(u) + s) <- v)
-    ~lpref:(fun u s v -> lpref_for.(off.(u) + s) <- v);
+  let sc = claim_scratch ~nodes:n ~slots:nslots in
+  let deny = sc.deny and med_in = sc.med_in and lpref_for = sc.lpref_for in
   (* Session classes (and hence learned classes, which are session
      classes or -1 for originated routes) are small non-negative ints,
      so the export matrix collapses to a dense boolean table. *)
-  let maxc =
-    let m = ref 0 in
-    Array.iter (fun cl -> if cl > !m then m := cl) classes;
-    !m
-  in
+  let maxc = Net.Csr.max_class c in
   let cw = maxc + 2 in
   let export_ok = Array.make (cw * cw) false in
   for lc = -1 to maxc do
@@ -299,10 +422,9 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
      overflows and the drain loop allocates nothing per event (a
      [Queue.t] would cons one cell per push). *)
   let qcap = n + 1 in
-  let qbuf = Array.make qcap 0 in
+  let qbuf = sc.qbuf and queued = sc.queued in
   let qhead = ref 0 in
   let qtail = ref 0 in
-  let queued = Array.make n false in
   let enqueue u =
     if not queued.(u) then begin
       queued.(u) <- true;
@@ -353,24 +475,27 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
      igp function can be arbitrarily expensive (netgen's does hash
      lookups), and convergence re-imports over the same iBGP slot many
      times.  The net is frozen during a run, so the cost cannot
-     change. *)
-  let igp_memo = Array.make nslots min_int in
+     change.  Each slot set is pushed on [igp_dirty] before it is
+     written, so the run end clears exactly those. *)
+  let igp_memo = sc.igp_memo and igp_dirty = sc.igp_dirty in
+  let ndirty = ref 0 in
   let igp_at kr p u =
     let g = igp_memo.(kr) in
     if g <> min_int then g
     else begin
       let g = Net.igp_cost net p u in
-      igp_memo.(kr) <- g;
+      if g <> min_int then begin
+        igp_dirty.(!ndirty) <- kr;
+        incr ndirty;
+        igp_memo.(kr) <- g
+      end;
       g
     end
   in
   (* Originated routes are stable for the whole run: intern each
-     originator's once instead of allocating per decision process. *)
-  let orig = Array.make n Rattr.no_route in
-  for u = 0 to n - 1 do
-    if st.originates.(u) then
-      orig.(u) <- Intern.rattr (Rattr.originated ~own_ip:ips.(u))
-  done;
+     originator's once (below) instead of allocating per decision
+     process. *)
+  let orig = sc.orig in
   let originated u = orig.(u) in
   let recompute_best_scoped u =
     let m = ref 0 in
@@ -543,13 +668,13 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
     st.events <- st.events + 1;
     push_exports u st.best.(u)
   in
-  seed ~enqueue ~replay;
   (* Fingerprinting every event would tax the common case, so the
      watchdog arms only once half the initial budget is spent — any run
      that deep is already suspect, and a genuine cycle keeps repeating,
-     so arming late never misses one. *)
+     so arming late never misses one.  Its history is only allocated
+     then, too. *)
   let threshold = budget / 2 in
-  let history = Hashtbl.create 64 in
+  let history_tbl = ref None in
   let rec drain budget escalations_left =
     if not (queue_empty ()) then
       if st.events >= budget then
@@ -574,6 +699,14 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
         process u;
         if st.events >= threshold && not (queue_empty ()) then
           let fp = (incr fingerprinted; fingerprint st iter_queue queued) in
+          let history =
+            match !history_tbl with
+            | Some h -> h
+            | None ->
+                let h = Hashtbl.create 64 in
+                history_tbl := Some h;
+                h
+          in
           match Hashtbl.find_opt history fp with
           | Some e0 ->
               st.outcome <- Diverged { cycle_len = st.events - e0 };
@@ -591,7 +724,35 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
         else drain budget escalations_left
       end
   in
-  drain budget escalations;
+  (* Return the scratch clean: clear this prefix's rule slots, the
+     memoised IGP slots, whatever a truncated, diverged or raising run
+     left queued, and the originated routes.  Under [Fun.protect], so a
+     raising [on_best_change] cannot leave stale entries behind. *)
+  let clean () =
+    Net.iter_prefix_rules net st.pfx
+      ~deny:(fun u s -> deny.(off.(u) + s) <- false)
+      ~med:(fun u s _ -> med_in.(off.(u) + s) <- min_int)
+      ~lpref:(fun u s _ -> lpref_for.(off.(u) + s) <- min_int);
+    for i = 0 to !ndirty - 1 do
+      igp_memo.(igp_dirty.(i)) <- min_int
+    done;
+    iter_queue (fun u -> queued.(u) <- false);
+    for u = 0 to n - 1 do
+      if st.originates.(u) then orig.(u) <- Rattr.no_route
+    done;
+    Atomic.set sc.busy false
+  in
+  Fun.protect ~finally:clean (fun () ->
+      Net.iter_prefix_rules net st.pfx
+        ~deny:(fun u s -> deny.(off.(u) + s) <- true)
+        ~med:(fun u s v -> med_in.(off.(u) + s) <- v)
+        ~lpref:(fun u s v -> lpref_for.(off.(u) + s) <- v);
+      for u = 0 to n - 1 do
+        if st.originates.(u) then
+          orig.(u) <- Intern.rattr (Rattr.originated ~own_ip:ips.(u))
+      done;
+      seed ~enqueue ~replay;
+      drain budget escalations);
   Obs.Metrics.incr runs_m;
   Obs.Metrics.incr ~by:st.events events_m;
   if !escalated > 0 then Obs.Metrics.incr ~by:!escalated escalations_m;
@@ -654,7 +815,16 @@ let resumable net prev =
 
 (* Precondition: [resumable net prev].  The flat layout makes the warm
    copy two [Array.copy] calls over contiguous arrays — no per-node
-   copying. *)
+   copying; the frozen originator flags are shared unless they change —
+   and a resume with nothing to replay copies nothing.
+
+   Origination delta: nodes that gain or lose the originated route
+   under the caller's [originators] set re-run their decision process
+   from the warm state — a gained origination injects the route, a lost
+   one withdraws it, and the delta propagates like any other best-route
+   change.  Callers resuming with an unchanged originator set produce
+   an empty delta, so the historical policy-only warm path is
+   untouched. *)
 let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
     ~originators =
   if Obs.Probe.enabled () then begin
@@ -662,54 +832,60 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
     Obs.Probe.read ~obj ~site:"engine.resume";
     Obs.Probe.write ~obj ~site:"engine.install-warm"
   end;
-  let st =
-    {
-      pfx = prev.pfx;
-      gen = prev.gen;
-      nodes = prev.nodes;
-      off = prev.off;
-      slab = Array.copy prev.slab;
-      best = Array.copy prev.best;
-      originates = Array.copy prev.originates;
-      resumed = true;
-      outcome = Converged;
-      events = 0;
-      fp = fp_unset;
-    }
+  let n = prev.nodes in
+  let valid u = u >= 0 && u < n in
+  let origin_delta =
+    let lost = ref [] in
+    for u = n - 1 downto 0 do
+      if prev.originates.(u) && not (List.mem u originators) then
+        lost := u :: !lost
+    done;
+    List.filter (fun o -> valid o && not prev.originates.(o)) originators
+    |> List.rev_append !lost
+    |> List.sort_uniq Int.compare
   in
-  let n = st.nodes in
-  (* Origination delta: nodes that gain or lose the originated route
-     under the caller's [originators] set re-run their decision process
-     from the warm state — a gained origination injects the route, a
-     lost one withdraws it, and the delta propagates like any other
-     best-route change.  Callers resuming with an unchanged originator
-     set produce an empty delta, so the historical policy-only warm
-     path is untouched. *)
-  let now = Array.make n false in
-  List.iter (fun o -> if o >= 0 && o < n then now.(o) <- true) originators;
-  let origin_delta = ref [] in
-  for u = n - 1 downto 0 do
-    if now.(u) <> st.originates.(u) then begin
-      st.originates.(u) <- now.(u);
-      origin_delta := u :: !origin_delta
-    end
-  done;
-  exec ?max_events ?max_escalations ?on_best_change net st ~kind:"warm"
-    ~seed:(fun ~enqueue ~replay ->
-      (* Replay every touched node's exports unconditionally: peers
-         whose RIB-In changes under the new policy enqueue themselves;
-         the touched node itself re-runs its decision process whenever
-         a replayed import disturbs it.  An unchanged advertisement is
-         suppressed by [same_route], so a no-op policy edit costs one
-         event and drains immediately. *)
-      List.iter enqueue !origin_delta;
-      List.iter (fun u -> if u >= 0 && u < n then replay u) touched)
+  if origin_delta = [] && not (List.exists valid touched) then
+    (* Nothing to replay: the drain would be empty and the result equal
+       to [prev], so share its frozen arrays (and fingerprint). *)
+    { prev with resumed = true; outcome = Converged; events = 0 }
+  else begin
+    let st =
+      {
+        prev with
+        slab = Array.copy prev.slab;
+        best = Array.copy prev.best;
+        originates =
+          (if origin_delta = [] then prev.originates
+           else Array.copy prev.originates);
+        resumed = true;
+        outcome = Converged;
+        events = 0;
+        fp = fp_unset;
+      }
+    in
+    List.iter (fun u -> st.originates.(u) <- not st.originates.(u)) origin_delta;
+    let st =
+      exec ?max_events ?max_escalations ?on_best_change net st ~kind:"warm"
+        ~seed:(fun ~enqueue ~replay ->
+          (* Replay every touched node's exports unconditionally: peers
+             whose RIB-In changes under the new policy enqueue
+             themselves; the touched node itself re-runs its decision
+             process whenever a replayed import disturbs it.  An
+             unchanged advertisement is suppressed by [same_route], so a
+             no-op policy edit costs one event and drains
+             immediately. *)
+          List.iter enqueue origin_delta;
+          List.iter (fun u -> if valid u then replay u) touched)
+    in
+    if prev.fp <> fp_unset then inherit_fingerprint ~parent:prev st;
+    st
+  end
 
 (* The one place the warm mode is interpreted.  [Verify] re-runs every
-   resume cold: the two runs must agree on convergence, and converged
-   states must be the same; on a divergence the cold state wins.  The
-   cold re-run goes straight to [cold], so it counts neither as a hit
-   nor as a miss. *)
+   resume cold, no-op resumes included: the two runs must agree on
+   convergence, and converged states must be the same; on a divergence
+   the cold state wins.  The cold re-run goes straight to [cold], so it
+   counts neither as a hit nor as a miss. *)
 let simulate ?max_events ?max_escalations ?on_best_change ?from ?touched net
     ~prefix:pfx ~originators =
   let mode = Runtime.warm () in

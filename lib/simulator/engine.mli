@@ -42,7 +42,11 @@ val simulate :
     present in [originators] but not originating in [from] (and vice
     versa) have their flag flipped and their decision process re-run,
     so announce / withdraw / MOAS events replay incrementally without
-    a cold rebuild.  A non-resumable or wrong-prefix [from] silently
+    a cold rebuild.  A resume with nothing to replay — no [touched]
+    node and an unchanged originator set — cannot change anything: it
+    returns a new state (resumed, 0 events) that shares [from]'s
+    frozen arrays and fingerprint, without copying or running the
+    engine.  A non-resumable or wrong-prefix [from] silently
     falls back to a cold start (counted in the
     [engine.warm_resume_misses] metric), so callers can pass their
     cache slot unconditionally.
@@ -68,7 +72,16 @@ val simulate :
     burning escalated budgets.  [on_best_change node best] is a trace
     hook, called whenever a node adopts a new best route.  When
     {!Faultinject} is enabled in [Full] scope, chosen prefixes have
-    their initial budget shrunk to 1. *)
+    their initial budget shrunk to 1.
+
+    A run works in its domain's scratch arrays (policy rows, IGP memo,
+    work queue), reused across runs and cleaned of what the run
+    touched when it returns or raises, so a short warm resume
+    allocates nothing slot- or node-sized beyond the state's own copy.
+    Systhreads of one domain may simulate concurrently, and
+    [on_best_change] may call back into the engine: a run that finds
+    the domain's scratch in use works in a private one instead
+    (counted in [engine.scratch_fallbacks]). *)
 
 val resumable : Net.t -> state -> bool
 (** Can a previous run of this prefix seed a warm restart on [net]?
@@ -81,7 +94,27 @@ val resumable : Net.t -> state -> bool
 val state_fingerprint : state -> int
 (** Full-width hash of the routing content (best routes and RIB-Ins,
     no event-queue component): equal final states hash equally however
-    they were reached.  The warm-vs-cold verification key. *)
+    they were reached.  The warm-vs-cold verification key.
+
+    It is a positional, additive content hash: the wrapping sum of
+    [best_hash n r] over every node [n] whose best route is [r], plus
+    [slot_hash k r] over every RIB-In slot [k] holding [r], slots
+    numbered node-major in session order; an empty entry contributes 0.
+    It is memoised in the state.  A cold state computes it in full on
+    first ask, bumping the [engine.state_fingerprints] metric.  A warm
+    resume whose [from] was already fingerprinted gets its value
+    eagerly when the run returns: the parent's sum, with the terms of
+    the entries the run replaced swapped — a pointer comparison over
+    the two states, no full hash and no metric bump.  A no-op resume
+    inherits its parent's value. *)
+
+val best_hash : int -> Rattr.t -> int
+(** [best_hash n r]: the {!state_fingerprint} term of route [r] as node
+    [n]'s best route. *)
+
+val slot_hash : int -> Rattr.t -> int
+(** [slot_hash k r]: the {!state_fingerprint} term of route [r] in
+    RIB-In slot [k]. *)
 
 val same_state : state -> state -> bool
 (** Structural equality of routing content: same prefix, same per-node

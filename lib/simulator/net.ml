@@ -60,6 +60,7 @@ type csr = {
   c_revloc : int array;  (* slot -> peer-local index of the mirror *)
   c_kind : int array;  (* 0 = eBGP, 1 = iBGP *)
   c_class : int array;
+  c_max_class : int;  (* max over [c_class] and 0 *)
   c_lpref : int array;  (* import LOCAL_PREF; [min_int] = unset *)
   c_carry : int array;  (* 0/1 *)
   c_rr : int array;  (* 0/1 *)
@@ -333,6 +334,7 @@ let build_csr t =
     c_revloc = revloc;
     c_kind = kind;
     c_class = cls;
+    c_max_class = Array.fold_left max 0 cls;
     c_lpref = lpref;
     c_carry = carry;
     c_rr = rr;
@@ -385,6 +387,8 @@ module Csr = struct
   let kinds c = c.c_kind
 
   let classes c = c.c_class
+
+  let max_class c = c.c_max_class
 
   let lprefs c = c.c_lpref
 

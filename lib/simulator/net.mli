@@ -139,6 +139,10 @@ module Csr : sig
   val classes : t -> int array
   (** Slot -> relationship class. *)
 
+  val max_class : t -> int
+  (** The largest relationship class of any slot (0 for none), computed
+      once per index build. *)
+
   val lprefs : t -> int array
   (** Slot -> import LOCAL_PREF, or {!no_lpref} when unset. *)
 

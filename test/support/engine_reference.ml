@@ -9,7 +9,9 @@
 
    Differences from the original are deliberately minimal: metrics and
    tracing are stripped (so baseline runs do not pollute the shared
-   Obs registry the bench gates read), while {!Faultinject} is kept —
+   Obs registry the bench gates read), and [state_fingerprint] sums the
+   flat engine's per-entry content terms over this engine's own RIBs,
+   so the two fingerprints stay comparable.  {!Faultinject} is kept —
    it is keyed deterministically per prefix, so both engines shrink
    the same budgets under RD_FAULTS and stay comparable. *)
 
@@ -172,11 +174,20 @@ let fingerprint st queue queued =
   Array.iter (fun q -> mix (Bool.to_int q)) queued;
   !h
 
+(* The shared positional content hash ({!Engine.state_fingerprint}),
+   summed over this engine's own nested RIB-Ins: slots are numbered
+   node-major in session order, which is the flat slab's layout. *)
 let state_fingerprint st =
-  let h = ref 0x42 in
-  let mix x = h := (!h * 1000003) lxor (x land max_int) in
-  Array.iter (mix_route mix) st.best;
-  Array.iter (fun slots -> Array.iter (mix_route mix) slots) st.rib_in;
+  let h = ref 0 in
+  Array.iteri
+    (fun n r -> Option.iter (fun r -> h := !h + Engine.best_hash n r) r)
+    st.best;
+  let k = ref 0 in
+  Array.iter
+    (Array.iter (fun r ->
+         Option.iter (fun r -> h := !h + Engine.slot_hash !k r) r;
+         incr k))
+    st.rib_in;
   !h
 
 let watchdog_history_cap = 4096

@@ -34,8 +34,10 @@ val simulate :
 val resumable : Net.t -> state -> bool
 
 val state_fingerprint : state -> int
-(** Same mixing scheme as {!Engine.state_fingerprint}: equal routing
-    content gives equal fingerprints across the two engines. *)
+(** {!Engine.state_fingerprint}'s positional sum of {!Engine.best_hash}
+    and {!Engine.slot_hash} terms, computed in full over this engine's
+    own best routes and RIB-Ins: equal routing content gives equal
+    fingerprints across the two engines. *)
 
 val prefix : state -> Prefix.t
 

@@ -228,6 +228,147 @@ let event_budget () =
   let st = Engine.simulate ~max_events:1 net ~prefix:p6 ~originators:[ n3 ] in
   check_bool "flagged non-converged" false (Engine.converged st)
 
+(* -- domain-local scratch -- *)
+
+(* Two prefixes of AS 1 over a world with eBGP and iBGP sessions.
+   Prefix [pa] carries a deny, an import MED and an import LOCAL_PREF
+   rule; [pb] carries none.  Each of [pa]'s rules sits on a session
+   [pb]'s routes cross, and [pa]'s run memoises the IGP cost of an
+   iBGP slot [pb]'s run reads too, so any of it left in a domain's
+   scratch changes what a later [pb] run computes there. *)
+let pa = Asn.origin_prefix 1
+
+let pb = Asn.origin_prefix 9
+
+let scratch_world () =
+  let net = Net.create () in
+  let a = Net.add_node net ~asn:1 ~ip:(Asn.router_ip 1 0) in
+  let r2a = Net.add_node net ~asn:2 ~ip:(Asn.router_ip 2 0) in
+  let r2b = Net.add_node net ~asn:2 ~ip:(Asn.router_ip 2 1) in
+  let c = Net.add_node net ~asn:3 ~ip:(Asn.router_ip 3 0) in
+  let s_a_r2a, _ = Net.connect net a r2a in
+  let _, s_r2b_a = Net.connect net a r2b in
+  ignore (Net.connect ~kind:Net.Ibgp net r2a r2b);
+  ignore (Net.connect net r2a c);
+  let _, s_c_r2b = Net.connect net r2b c in
+  Net.set_igp_cost net (fun _ _ -> 5);
+  Net.deny_export net a s_a_r2a pa;
+  Net.set_import_med net r2b s_r2b_a pa 50;
+  Net.set_import_lpref_for net c s_c_r2b pa 300;
+  (net, a)
+
+(* [f] on a freshly spawned domain, whose scratch no run has used; the
+   spawn and the join are published to the race detector as sync
+   edges, as the pool does. *)
+let on_fresh_domain f =
+  let chan = Printf.sprintf "test.fresh-domain.%s" in
+  Obs.Probe.release ~chan:(chan "spawn");
+  let d =
+    Domain.spawn (fun () ->
+        Obs.Probe.acquire ~chan:(chan "spawn");
+        let v = f () in
+        Obs.Probe.release ~chan:(chan "join");
+        v)
+  in
+  let v = Domain.join d in
+  Obs.Probe.acquire ~chan:(chan "join");
+  v
+
+let fallbacks () = Obs.Metrics.find_counter "engine.scratch_fallbacks"
+
+let check_same_run what expected st =
+  check_bool (what ^ ": same routing") true (Engine.same_state expected st);
+  check_int (what ^ ": same events") (Engine.events expected) (Engine.events st)
+
+let scratch_rows_do_not_leak () =
+  let net, a = scratch_world () in
+  ignore (Engine.simulate net ~prefix:pa ~originators:[ a ]);
+  Net.set_igp_cost net (fun _ _ -> 9);
+  let b = Engine.simulate net ~prefix:pb ~originators:[ a ] in
+  let fresh =
+    on_fresh_domain (fun () -> Engine.simulate net ~prefix:pb ~originators:[ a ])
+  in
+  check_same_run "pb after pa = pb on a fresh domain" fresh b
+
+let scratch_clean_after_raise () =
+  let net, a = scratch_world () in
+  let changes = ref 0 in
+  let raise_on_second _ _ =
+    incr changes;
+    if !changes = 2 then raise Exit
+  in
+  (match
+     Engine.simulate ~on_best_change:raise_on_second net ~prefix:pb
+       ~originators:[ a ]
+   with
+  | _ -> Alcotest.fail "on_best_change did not raise"
+  | exception Exit -> ());
+  let f0 = fallbacks () in
+  let after = Engine.simulate net ~prefix:pb ~originators:[ a ] in
+  check_int "the next run reuses the released scratch" f0 (fallbacks ());
+  let fresh =
+    on_fresh_domain (fun () -> Engine.simulate net ~prefix:pb ~originators:[ a ])
+  in
+  check_same_run "run after a raise = run on a fresh domain" fresh after
+
+(* Thread 1's run parks inside its first [on_best_change] while
+   holding the domain's scratch; thread 2 simulates meanwhile and must
+   take a private scratch.  Both results equal their sequential runs. *)
+let scratch_fallback_across_threads () =
+  let net, a = scratch_world () in
+  let seq_a = Engine.simulate net ~prefix:pa ~originators:[ a ] in
+  let seq_b = Engine.simulate net ~prefix:pb ~originators:[ a ] in
+  let m = Mutex.create () and cv = Condition.create () in
+  let set flag =
+    Mutex.lock m;
+    flag := true;
+    Condition.broadcast cv;
+    Mutex.unlock m
+  in
+  let wait_for flag =
+    Mutex.lock m;
+    while not !flag do
+      Condition.wait cv m
+    done;
+    Mutex.unlock m
+  in
+  let parked = ref false and finished = ref false in
+  let got_a = ref None and got_b = ref None in
+  let f0 = fallbacks () in
+  let t1 =
+    Thread.create
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> set parked)
+          (fun () ->
+            let park _ _ =
+              if not !parked then begin
+                set parked;
+                wait_for finished
+              end
+            in
+            got_a :=
+              Some
+                (Engine.simulate ~on_best_change:park net ~prefix:pa
+                   ~originators:[ a ])))
+      ()
+  in
+  let t2 =
+    Thread.create
+      (fun () ->
+        wait_for parked;
+        Fun.protect
+          ~finally:(fun () -> set finished)
+          (fun () ->
+            got_b := Some (Engine.simulate net ~prefix:pb ~originators:[ a ])))
+      ()
+  in
+  Thread.join t1;
+  Thread.join t2;
+  check_int "the concurrent run took a private scratch" (f0 + 1) (fallbacks ());
+  check_same_run "parked run" seq_a (Option.get !got_a);
+  check_same_run "concurrent run" seq_b (Option.get !got_b)
+
 let suite =
   [
     Alcotest.test_case "propagation" `Quick propagation;
@@ -243,4 +384,10 @@ let suite =
     Alcotest.test_case "withdrawal cascades" `Quick withdrawal_cascades;
     Alcotest.test_case "carried lpref" `Quick carried_lpref;
     Alcotest.test_case "event budget" `Quick event_budget;
+    Alcotest.test_case "scratch: rule rows do not leak" `Quick
+      scratch_rows_do_not_leak;
+    Alcotest.test_case "scratch: clean after a raising run" `Quick
+      scratch_clean_after_raise;
+    Alcotest.test_case "scratch: threads fall back" `Quick
+      scratch_fallback_across_threads;
   ]

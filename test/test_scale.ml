@@ -41,12 +41,23 @@ let test_sized_rejects_small () =
 
 (* The flat engine must be observationally identical to the frozen
    reference on arbitrary generated worlds: same fingerprints, same
-   event counts, same outcomes — cold, and warm across a policy
-   change.  Seeds vary the whole world (topology, policies, MED noise,
+   event counts, same outcomes, and the same best route and RIB-In at
+   every node — cold, and warm across a policy change.  The two
+   fingerprints share one definition (a sum of per-entry terms), so the
+   entry-by-entry comparison is what keeps this a check of the routing
+   itself.  Seeds vary the whole world (topology, policies, MED noise,
    route reflection), not just the traffic. *)
 let arb_world_seed =
   QCheck.make ~print:(Printf.sprintf "netgen seed %d")
     QCheck.Gen.(int_bound 10_000)
+
+(* Every field of every best route and RIB-In entry, structurally. *)
+let same_entries net rst fst_ =
+  List.for_all
+    (fun n ->
+      Engine_reference.best rst n = Engine.best fst_ n
+      && Engine_reference.rib_in rst n = Engine.rib_in fst_ n)
+    (List.init (Net.node_count net) Fun.id)
 
 let prop_flat_matches_reference =
   QCheck.Test.make ~name:"flat engine = reference engine (cold + warm)"
@@ -77,6 +88,7 @@ let prop_flat_matches_reference =
             = Engine.state_fingerprint fc
             && Engine_reference.events rc = Engine.events fc
             && Engine_reference.converged rc = Engine.converged fc
+            && same_entries net rc fc
           in
           Net.set_import_med net touch 0 p 7;
           let rw =
@@ -92,6 +104,7 @@ let prop_flat_matches_reference =
             Engine_reference.state_fingerprint rw
             = Engine.state_fingerprint fw
             && Engine_reference.events rw = Engine.events fw
+            && same_entries net rw fw
           in
           cold_ok && warm_ok)
         samples)

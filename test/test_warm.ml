@@ -156,9 +156,31 @@ let resume_noop_is_free () =
   let prev = Qrmodel.simulate m p in
   Net.clear_touched net p;
   let originators = Qrmodel.originators m p in
+  let counter = Obs.Metrics.find_counter in
+  let fp_prev = Engine.state_fingerprint prev in
+  let runs0 = counter "engine.runs" in
+  let hashes0 = counter "engine.state_fingerprints" in
   let warm = Engine.simulate ~from:prev ~touched:[] net ~prefix:p ~originators in
+  check_bool "resumed" true (Engine.resumed warm);
   check_int "no events" 0 (Engine.events warm);
+  check_int "no engine run" runs0 (counter "engine.runs");
+  check_bool "every best route shared" true
+    (List.for_all (Engine.same_selected net prev warm) [ 1; 2; 3; 4; 5 ]);
+  check_int "fingerprint inherited" fp_prev (Engine.state_fingerprint warm);
+  check_int "no full hash" hashes0 (counter "engine.state_fingerprints");
   check_equivalent "no-op" prev warm;
+  (* Verify still compares a no-op resume with a cold run; Off still
+     runs cold. *)
+  Knobs.with_warm Warm_mode.Verify (fun () ->
+      let verified = counter "warm.verified" in
+      let v = Engine.simulate ~from:prev ~touched:[] net ~prefix:p ~originators in
+      check_bool "verify: resumed" true (Engine.resumed v);
+      check_int "verify: compared with a cold run" (verified + 1)
+        (counter "warm.verified"));
+  Knobs.with_warm Warm_mode.Off (fun () ->
+      let c = Engine.simulate ~from:prev ~touched:[] net ~prefix:p ~originators in
+      check_bool "off: cold run" false (Engine.resumed c);
+      check_equivalent "off" prev c);
   (* A replayed node whose advertisements are unchanged costs exactly
      its replay event and disturbs nothing. *)
   let n4 = List.hd (Net.nodes_of_as net 4) in
@@ -405,8 +427,11 @@ let refiner_verify_clean () =
 
 let fingerprints () = Obs.Metrics.find_counter "engine.state_fingerprints"
 
-(* The memo is per state: a warm resume from an already fingerprinted
-   state must not inherit its memo, and asking twice hashes once. *)
+(* The memo is per state and asking twice hashes once.  A warm resume
+   from an already fingerprinted state does not inherit the parent's
+   value: it derives its own from the parent's by swapping the terms of
+   the entries it replaced, with no full hash — and that value still
+   equals the cold state's and differs from the parent's. *)
 let memo_fresh_after_resume () =
   let m = Qrmodel.initial diamond_graph in
   let net = m.Qrmodel.net in
@@ -426,12 +451,75 @@ let memo_fresh_after_resume () =
       ~originators:(Qrmodel.originators m p)
   in
   check_bool "resumed" true (Engine.resumed warm);
+  let fp_warm = Engine.state_fingerprint warm in
+  check_int "warm from a fingerprinted parent: no full hash" (f0 + 1)
+    (fingerprints ());
   let cold = Qrmodel.simulate m p in
   check_int "warm fingerprint equals cold" (Engine.state_fingerprint cold)
-    (Engine.state_fingerprint warm);
-  check_bool "the edit changed the routing" true
-    (Engine.state_fingerprint warm <> fp_prev);
-  check_int "one hash per new state" (f0 + 3) (fingerprints ())
+    fp_warm;
+  check_bool "the edit changed the routing" true (fp_warm <> fp_prev);
+  check_int "one full hash for the cold state" (f0 + 2) (fingerprints ())
+
+(* The fingerprint recomputed from scratch through the public
+   accessors: the positional sum of per-entry terms, slots numbered
+   node-major in session order. *)
+let content_hash net st =
+  let h = ref 0 and base = ref 0 in
+  for n = 0 to Net.node_count net - 1 do
+    Option.iter (fun r -> h := !h + Engine.best_hash n r) (Engine.best st n);
+    List.iter
+      (fun (s, r) -> h := !h + Engine.slot_hash (!base + s) r)
+      (Engine.rib_in st n);
+    base := !base + Net.session_count_of net n
+  done;
+  !h
+
+(* A chain of warm resumes from a fingerprinted root: every link's
+   fingerprint is derived from its parent's without a full hash, and
+   must equal both the from-scratch content hash and the fingerprint of
+   a cold run of the same policies. *)
+let arb_chain =
+  QCheck.(
+    pair arb_scenario
+      (make
+         ~print:(fun l ->
+           String.concat " | "
+             (List.map
+                (fun b -> String.concat "," (List.map string_of_int b))
+                l))
+         Gen.(
+           list_size (int_range 3 5)
+             (list_size (int_range 1 3) (int_bound 1_000_000)))))
+
+let prop_incremental_fingerprint_chain =
+  QCheck.Test.make
+    ~name:"incremental fingerprint = content hash = cold, along a warm chain"
+    ~count:60 arb_chain
+    (fun ((graph, _), steps) ->
+      Knobs.with_warm Warm_mode.On @@ fun () ->
+      let m = Qrmodel.initial graph in
+      let net = m.Qrmodel.net in
+      let prefix = fst (List.hd m.Qrmodel.prefixes) in
+      let originators = Qrmodel.originators m prefix in
+      let root = Qrmodel.simulate m prefix in
+      ignore (Engine.state_fingerprint root);
+      Net.clear_touched net prefix;
+      let step (prev, ok) edits =
+        List.iter (apply_random_edit net prefix) edits;
+        let f0 = fingerprints () in
+        let warm = Engine.simulate ~from:prev net ~prefix ~originators in
+        Net.clear_touched net prefix;
+        let incremental = Engine.state_fingerprint warm in
+        let no_full_hash = fingerprints () = f0 in
+        let cold = Qrmodel.simulate m prefix in
+        let ok =
+          ok && Engine.resumed warm && no_full_hash
+          && incremental = content_hash net warm
+          && incremental = Engine.state_fingerprint cold
+        in
+        (warm, ok)
+      in
+      snd (List.fold_left step (root, true) steps))
 
 (* Two domains racing on one unset memo both get the real value. *)
 let memo_across_domains () =
@@ -478,4 +566,5 @@ let suite =
       (Knobs.resuming memo_fresh_after_resume);
     Alcotest.test_case "fingerprint memo across domains" `Quick
       memo_across_domains;
+    QCheck_alcotest.to_alcotest prop_incremental_fingerprint_chain;
   ]
